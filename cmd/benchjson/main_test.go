@@ -23,6 +23,14 @@ func TestParseLine(t *testing.T) {
 		}
 	}
 
+	// Only the last -N is GOMAXPROCS: a sub-benchmark name that itself ends
+	// in -<digits> keeps them (and reads as procs when GOMAXPROCS is 1, which
+	// is why benchmark names use .../cores=N instead).
+	r, ok = parseLine("BenchmarkEngine/warm-bb-16-2    3    1234 ns/op")
+	if !ok || r.Name != "BenchmarkEngine/warm-bb-16" || r.Procs != 2 {
+		t.Fatalf("…-16-2: ok %v name %q procs %d", ok, r.Name, r.Procs)
+	}
+
 	for _, bad := range []string{
 		"PASS",
 		"ok  \tgpm/internal/solver\t2.1s",

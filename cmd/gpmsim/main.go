@@ -53,13 +53,13 @@ import (
 var (
 	flagQuick   = flag.Bool("quick", false, "reduced horizon (15 ms) and budget grid for fast runs")
 	flagCSV     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	flagPolicy  = flag.String("policy", "maxbips", "policy for 'run': maxbips|greedy|priority|pullhipushlo|chipwide|oracle|stable|fairness|hierarchical|maxbips-dp|maxbips-bb|maxbips-hier|maxbips-sharded")
+	flagPolicy  = flag.String("policy", "maxbips", "policy for 'run': maxbips|greedy|priority|pullhipushlo|chipwide|oracle|stable|fairness|hierarchical|maxbips-dp|maxbips-bb|maxbips-hier")
 	flagCombo   = flag.String("combo", "4w-ammp-mcf-crafty-art", "workload combo ID for 'run' (see Table 2 IDs)")
 	flagBudget  = flag.Float64("budget", 0.80, "budget fraction of max chip power for 'run'")
 	flagHorizon = flag.Duration("horizon", 0, "override simulation horizon (e.g. 20ms)")
 	flagFault   = flag.String("fault", "", "fault scenario for 'run'/'resilience', e.g. \"seed=7,noise=0.05,stuck=1:0.5:2ms,death=3:8ms\" (see internal/fault.ParseScenario)")
 	flagGuard   = flag.Bool("guard", false, "guard 'run' with the ResilientManager (sanitization, emergency throttle, core parking)")
-	flagSolver  = flag.String("solver", "", "allocation solver for 'run'/'scaling': exhaustive|dp|bb|hier|greedy (for 'run', overrides -policy with a solver-backed MaxBIPS)")
+	flagSolver  = flag.String("solver", "", "allocation solver for 'run'/'scaling': exhaustive|dp|bb|hier|greedy (for 'run', overrides -policy with the policy that runs it: maxbips, maxbips-dp, maxbips-bb, maxbips-hier or greedy)")
 	flagCluster = flag.Int("clusters", 0, "hierarchical solver cluster size (0 = default 8)")
 	flagQuantum = flag.Float64("quantum", 0, "DP power quantum in watts (0 = adaptive default)")
 	flagTrace   = flag.String("trace", "", "record the decision trace of 'run' to this JSONL file (for 'xcheck': record a <name>.cmpsim.jsonl/<name>.fullsim.jsonl pair)")
@@ -530,22 +530,23 @@ func solverOpts() solver.Options {
 }
 
 func custom(env *experiment.Env) error {
-	var pol core.Policy
-	var err error
-	if *flagSolver != "" {
-		s, serr := solver.New(strings.ToLower(*flagSolver), solverOpts())
-		if serr != nil {
-			return serr
-		}
-		// Session-capable: the run is a single sequential engine loop, so the
-		// pointer policy is safe and rides the warm/delta fast paths the
-		// sweeps' copied value policies must forgo.
-		pol = core.NewSolverPolicy(s)
-	} else {
-		pol, err = core.SolverRegistry(strings.ToLower(*flagPolicy), solverOpts())
-		if err != nil {
-			return err
-		}
+	// -solver X names the registry policy that runs solver X: the
+	// exhaustive and greedy kernels are maxbips and greedy themselves.
+	name := strings.ToLower(*flagPolicy)
+	switch s := strings.ToLower(*flagSolver); s {
+	case "":
+	case "exhaustive":
+		name = "maxbips"
+	case "greedy":
+		name = "greedy"
+	case "dp", "bb", "hier":
+		name = "maxbips-" + s
+	default:
+		return fmt.Errorf("unknown solver %q (want %s)", s, strings.Join(solver.Names(), "|"))
+	}
+	pol, err := core.SolverRegistry(name, solverOpts())
+	if err != nil {
+		return err
 	}
 	combo, err := workload.FindCombo(*flagCombo)
 	if err != nil {

@@ -108,10 +108,10 @@ type SolverStats = solver.Stats
 // worker and branch-and-bound node caps. Zero fields select defaults.
 type SolverOptions = solver.Options
 
-// SolverByName resolves an allocation solver: exhaustive (prefix-sharded
-// parallel enumeration), dp (quantized knapsack with a reported gap bound),
-// bb (exact branch-and-bound; µs–ms at 64+ cores), hier (two-level clustered;
-// scales to 1024 cores), or greedy.
+// SolverByName resolves an allocation solver: exhaustive (the MaxBIPS
+// enumeration, sharded across goroutines on large chips), dp (quantized
+// knapsack with a reported gap bound), bb (exact branch-and-bound; µs–ms at
+// 64+ cores), hier (two-level clustered; scales to 1024 cores), or greedy.
 func SolverByName(name string, opt SolverOptions) (Solver, error) { return solver.New(name, opt) }
 
 // SolverNames lists the SolverByName registry.
@@ -171,8 +171,11 @@ type SolverScalingRow = experiment.SolverScalingRow
 type SolverScalingOptions = experiment.SolverScalingOptions
 
 // PolicyByName resolves a policy from its CLI name
-// (maxbips|greedy|priority|pullhipushlo|chipwide|oracle|...|maxbips-dp|
-// maxbips-bb|maxbips-hier|maxbips-sharded).
+// (maxbips|greedy|priority|pullhipushlo|chipwide|oracle|stable|fairness|
+// hierarchical|maxbips-dp|maxbips-bb|maxbips-hier). MaxBIPS and greedy run
+// the exhaustive and greedy solver kernels; the maxbips-* names return a
+// fresh session-capable policy (see SessionSolverPolicy), so resolve one per
+// run.
 func PolicyByName(name string) (Policy, error) { return core.Registry(name) }
 
 // FindWorkload resolves a Table 2 combination by ID, e.g.

@@ -372,6 +372,21 @@ func TestRegistry(t *testing.T) {
 	if _, err := Registry("nope"); err == nil {
 		t.Error("unknown policy accepted")
 	}
+	// Every maxbips-<solver> name is a fresh session-capable policy, and the
+	// exhaustive kernel has no second name beside maxbips.
+	for _, name := range []string{"maxbips-dp", "maxbips-bb", "maxbips-hier"} {
+		p, err := Registry(name)
+		if err != nil {
+			t.Fatalf("Registry(%s): %v", name, err)
+		}
+		q, _ := Registry(name)
+		if sp, ok := p.(*SolverPolicy); !ok || sp == q.(*SolverPolicy) {
+			t.Errorf("Registry(%s) = %T, want a fresh *SolverPolicy per call", name, p)
+		}
+	}
+	if _, err := Registry("maxbips-sharded"); err == nil {
+		t.Error("maxbips-sharded still registered")
+	}
 }
 
 // Property: every policy's decision always satisfies the budget according to

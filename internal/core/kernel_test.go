@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -83,7 +84,7 @@ func TestSolverPoliciesMatchExhaustiveKernel(t *testing.T) {
 	for _, frac := range []float64{0.62, 0.75, 0.9} {
 		ctx := Context{Plan: p, Current: cur, BudgetW: frac * turbo, Matrices: mx}
 		want := MaxBIPS{}.Decide(ctx)
-		for _, name := range []string{"maxbips-bb", "maxbips-sharded"} {
+		for _, name := range []string{"maxbips-bb"} {
 			pol, err := Registry(name)
 			if err != nil {
 				t.Fatal(err)
@@ -164,26 +165,26 @@ func lexLess(a, b modes.Vector) bool {
 	return false
 }
 
-// BenchmarkSelectMaxThroughput measures the exhaustive kernel's per-decision
-// cost at 8 cores. Run with -benchmem: the copy-in-place scratch buffer
-// keeps it at a single vector allocation per decision (it used to clone
-// every improving vector).
+// BenchmarkSelectMaxThroughput measures MaxBIPS.Decide — one exhaustive
+// decision through solver.Exhaustive — at the paper's 4- and 8-core widths.
 func BenchmarkSelectMaxThroughput(b *testing.B) {
 	p := plan()
-	n := 8
-	mx := Matrices{Power: make([][]float64, n), Instr: make([][]float64, n)}
-	for c := 0; c < n; c++ {
-		mx.Power[c] = make([]float64, p.NumModes())
-		mx.Instr[c] = make([]float64, p.NumModes())
-		for m := 0; m < p.NumModes(); m++ {
-			mx.Power[c][m] = (18 + float64(c%5)) * p.PowerScale(modes.Mode(m))
-			mx.Instr[c][m] = (50_000 + float64(c)*3000) * p.FreqScale(modes.Mode(m))
+	for _, n := range []int{4, 8} {
+		mx := Matrices{Power: make([][]float64, n), Instr: make([][]float64, n)}
+		for c := 0; c < n; c++ {
+			mx.Power[c] = make([]float64, p.NumModes())
+			mx.Instr[c] = make([]float64, p.NumModes())
+			for m := 0; m < p.NumModes(); m++ {
+				mx.Power[c][m] = (18 + float64(c%5)) * p.PowerScale(modes.Mode(m))
+				mx.Instr[c][m] = (50_000 + float64(c)*3000) * p.FreqScale(modes.Mode(m))
+			}
 		}
-	}
-	budget := 0.8 * 8 * 22.0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		selectMaxThroughput(p, n, budget, mx)
+		ctx := Context{Plan: p, Current: modes.Uniform(n, modes.Turbo), BudgetW: 0.8 * float64(n) * 22.0, Matrices: mx}
+		b.Run(fmt.Sprintf("cores=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				MaxBIPS{}.Decide(ctx)
+			}
+		})
 	}
 }

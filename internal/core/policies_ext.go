@@ -101,7 +101,7 @@ func (Fairness) Decide(ctx Context) modes.Vector {
 // marginal-utility pass (GreedyMaxBIPS), and each cluster then refines its
 // own assignment exhaustively over modes^ClusterSize combinations within
 // the share the global level granted it (plus any aggregate slack, offered
-// round-robin). Decision cost is O(cores²·modes + numClusters ·
+// round-robin). Decision cost is O(cores·modes·log cores + numClusters ·
 // modes^ClusterSize) instead of modes^cores, making 64-core chips cheap
 // while staying near the monolithic optimum.
 type Hierarchical struct {

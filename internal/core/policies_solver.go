@@ -16,9 +16,10 @@ import (
 //
 // A SolverPolicy value is cold: every Decide is an independent stateless
 // solve, safe to share across concurrent sweep workers. NewSolverPolicy
-// returns a policy that can additionally own a solver.Session — warm-started
-// solves with scratch reuse across intervals — via EnsureSession; such a
-// policy belongs to exactly one engine loop.
+// (and so the registry's maxbips-* names) returns a policy that can
+// additionally own a solver.Session — warm-started solves with scratch reuse
+// across intervals — via EnsureSession; such a policy belongs to exactly one
+// engine loop.
 type SolverPolicy struct {
 	Solver solver.Solver
 	// Label overrides the displayed name (default "MaxBIPS[<solver>]").

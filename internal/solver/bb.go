@@ -223,7 +223,7 @@ func (b *BB) SolveBounded(in Instance, cp *Checkpoint) (modes.Vector, Stats) {
 	// Greedy incumbent seed. In LexTies mode the seed only tightens the
 	// pruning floor — the incumbent vector must be discovered by the lex
 	// DFS itself, or a greedy optimum could shadow a lex-smaller tie.
-	gv, _, _ := greedySolve(in, cp)
+	gv, _, _ := greedySolve(in, cp, nil)
 	return b.solveFrom(in, cp, f, gv, math.Inf(-1), nil, start)
 }
 

@@ -10,9 +10,11 @@ import (
 
 // BenchmarkSolver times every solver across chip widths; `make bench-json`
 // turns this output into BENCH_solver.json. Exhaustive enumeration rows stop
-// at 16 cores (3^16 vectors); the other solvers run to 256.
+// at 16 cores (3^16 vectors); the other solvers run to 256. The
+// exhaustive/workers=1 rows time the single-goroutine kernel at the paper's
+// widths, the MaxBIPS decision cost without sharding.
 func BenchmarkSolver(b *testing.B) {
-	widths := []int{8, 16, 64, 256}
+	widths := []int{4, 8, 16, 64, 256}
 	for _, name := range Names() {
 		s, err := New(name, Options{})
 		if err != nil {
@@ -31,6 +33,15 @@ func BenchmarkSolver(b *testing.B) {
 				b.ReportMetric(float64(st.Nodes), "nodes/op")
 			})
 		}
+	}
+	seq := &Exhaustive{Workers: 1}
+	for _, n := range []int{4, 8} {
+		in := randInstance(int64(n), n, plan3(), 0.8)
+		b.Run(fmt.Sprintf("exhaustive/workers=1/cores=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				seq.Solve(in)
+			}
+		})
 	}
 }
 

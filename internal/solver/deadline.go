@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,7 +25,7 @@ const cpBatch = 64
 // solvers' hot loops. A solve observing an exhausted checkpoint stops where
 // it is and returns its best incumbent so far (always a feasible vector, or
 // the all-deepest floor when nothing feasible was seen). Checkpoints are
-// safe for concurrent use: the prefix-sharded exhaustive solver and Hier's
+// safe for concurrent use: the sharded exhaustive solver and Hier's
 // per-cluster goroutines all charge nodes to the same token.
 //
 // A nil *Checkpoint is valid everywhere and means "never abort", so the
@@ -81,6 +82,15 @@ func (cp *Checkpoint) Visit(n int64) bool {
 		}
 	}
 	return false
+}
+
+// nodesLeft returns how many more nodes the node budget admits
+// (math.MaxInt64 when there is none). Safe on a nil receiver.
+func (cp *Checkpoint) nodesLeft() int64 {
+	if cp == nil || cp.nodeLimit <= 0 {
+		return math.MaxInt64
+	}
+	return max(cp.nodeLimit-cp.nodes.Load(), 0)
 }
 
 // Abort cancels the solve externally (e.g. a supervisor abandoning a

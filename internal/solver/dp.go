@@ -85,7 +85,7 @@ func (d *DP) solveWith(in Instance, cp *Checkpoint, sc *dpScratch) (modes.Vector
 	if q <= 0 || m > 256 {
 		// Degenerate budget (≤ 0) or a plan too wide for the uint8
 		// reconstruction table: fall back to greedy.
-		v, nodes, aborted := greedySolve(in, cp)
+		v, nodes, aborted := greedySolve(in, cp, nil)
 		st.Nodes = nodes
 		st.GapBound = 1
 		st.Aborted = aborted
@@ -124,7 +124,7 @@ func (d *DP) solveWith(in Instance, cp *Checkpoint, sc *dpScratch) (modes.Vector
 			// Deadline hit mid-table: the partial table is useless, so fall
 			// back to the anytime greedy answer (run unbounded — it is the
 			// cheap kernel the caller's own fallback ladder would use).
-			v, nodes, _ := greedySolve(in, nil)
+			v, nodes, _ := greedySolve(in, nil, nil)
 			st.Nodes = int64(c)*int64(W+1)*int64(m) + nodes
 			st.GapBound = 1
 			st.Aborted = true
@@ -168,7 +168,7 @@ func (d *DP) solveWith(in Instance, cp *Checkpoint, sc *dpScratch) (modes.Vector
 	ub := f.bound(in, 0, 0, 0)
 	st.UpperBoundInstr = ub
 
-	gv, _, _ := greedySolve(in, nil)
+	gv, _, _ := greedySolve(in, nil, nil)
 	gp := in.VectorPower(gv)
 	gt := in.VectorInstr(gv)
 

@@ -13,13 +13,26 @@ import (
 // running for hours. 2^31 vectors is already minutes of work.
 const maxEnumerable = int64(1) << 31
 
-// Exhaustive is the brute-force reference solver: it scores every
-// modes^cores vector, sharded across worker goroutines by prefix. Shard w
-// owns a contiguous range of assignments to the first d cores (the highest
-// lexicographic digits) and enumerates the remaining cores' combinations
-// beneath each prefix; merging shard winners in prefix order under the
-// strict improvement rule reproduces the sequential kernel's result
-// bit-for-bit, including its lexicographic tie-breaking.
+// shardMinVectors is the vector count below which Exhaustive enumerates on
+// the calling goroutine: starting shard goroutines costs more than it saves
+// there. On a 2-CPU Xeon VM, two shards break even with one goroutine at
+// 3^7 = 2187 vectors (about 28 µs) and win at 3^8 = 6561 (53 vs 67 µs), so
+// the paper's 4-core instances stay sequential and its 8-core ones shard.
+const shardMinVectors = 4096
+
+// Exhaustive is the brute-force reference solver and the MaxBIPS kernel
+// (§5.2.3): it scores every modes^cores vector in lexicographic order and
+// keeps the highest predicted throughput that fits the budget, preferring
+// lower power on equal throughput and the earlier vector on full ties.
+//
+// The selection rule is core.MaxBIPS's: a vector fits unless its power
+// exceeds the budget (so a NaN power or budget reads as fitting), and the
+// incumbent starts as the all-deepest vector scored (−1, 0), so NaN or ≤ −1
+// throughput is never chosen over it.
+//
+// Large instances are split into Workers contiguous ranges of the
+// lexicographic order, one goroutine each; merging the range winners in
+// order under the same rule reproduces the sequential result bit-for-bit.
 type Exhaustive struct {
 	// Workers bounds the shard goroutines (default GOMAXPROCS).
 	Workers int
@@ -33,157 +46,145 @@ func (e *Exhaustive) Solve(in Instance) (modes.Vector, Stats) {
 	return e.SolveBounded(in, nil)
 }
 
-// SolveBounded implements Bounded. All shards charge nodes to the shared
-// checkpoint; an aborted solve merges whatever the shards found before the
-// cut (feasible, or the all-deepest floor if nothing feasible was seen).
+// SolveBounded implements Bounded. A node budget of N scores exactly the
+// first N vectors in lexicographic order — each shard's share is fixed up
+// front — so a budget-cut solve returns the same vector for every Workers
+// value. Wall deadlines and external aborts stop each shard at its next
+// checkpoint batch and keep whatever the shards found before the cut.
 func (e *Exhaustive) SolveBounded(in Instance, cp *Checkpoint) (modes.Vector, Stats) {
 	start := time.Now()
 	n, m := in.NumCores(), in.NumModes()
-	st := Stats{Solver: e.Name(), Exact: true}
-	if n == 0 {
-		st.Elapsed = time.Since(start)
-		return modes.Vector{}, st
-	}
 
 	// Refuse intractable instances: fall back to greedy rather than hang.
 	total := int64(1)
 	for c := 0; c < n; c++ {
 		if total > maxEnumerable/int64(m) {
-			v, nodes, aborted := greedySolve(in, cp)
-			st.Exact = false
-			st.Nodes = nodes
-			st.Aborted = aborted
-			st.Elapsed = time.Since(start)
+			v, st := Greedy{}.SolveBounded(in, cp)
+			st.Solver, st.Elapsed = e.Name(), time.Since(start)
 			return v, st
 		}
 		total *= int64(m)
 	}
+	scan := min(total, cp.nodesLeft())
 
 	workers := e.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// Prefix depth: enough prefixes to give every worker several shards'
-	// worth of balance, but never the whole problem.
-	depth := 0
-	numPrefix := int64(1)
-	for numPrefix < int64(workers)*8 && depth < n-1 {
-		numPrefix *= int64(m)
-		depth++
+	// A NaN-power incumbent blocks every later equal-throughput vector
+	// (x < NaN is false), which a range boundary would not see, so
+	// non-finite instances stay on one goroutine.
+	if scan < shardMinVectors || !finiteInstance(in) {
+		workers = 1
 	}
-	if int64(workers) > numPrefix {
-		workers = int(numPrefix)
-	}
-	st.Workers = workers
 
-	type shardBest struct {
-		found   bool
-		t, p    float64
-		v       modes.Vector
-		nodes   int64
-		aborted bool
+	var best rangeBest
+	if workers == 1 {
+		best = enumerateRange(in, 0, scan, cp)
+	} else {
+		best = enumerateShards(in, scan, workers, cp)
 	}
-	results := make([]shardBest, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := numPrefix * int64(w) / int64(workers)
-		hi := numPrefix * int64(w+1) / int64(workers)
-		wg.Add(1)
-		go func(w int, lo, hi int64) {
-			defer wg.Done()
-			results[w] = enumerateRange(in, depth, lo, hi, cp)
-		}(w, lo, hi)
+	if scan < total {
+		cp.Abort() // the node budget is spent, exactly as a Visit trip latches it
+		best.aborted = true
 	}
-	wg.Wait()
-
-	// Merge in shard (prefix) order with the strict rule: the first shard to
-	// reach the optimum (t, p) wins, i.e. the lexicographically smallest
-	// optimal vector overall.
-	best := in.deepestVector()
-	bestT, bestP := -1.0, 0.0
-	found := false
-	for _, r := range results {
-		st.Nodes += r.nodes
-		if r.aborted {
-			st.Aborted = true
-			st.Exact = false
-		}
-		if !r.found {
-			continue
-		}
-		if !found || better(r.t, r.p, bestT, bestP) {
-			found = true
-			bestT, bestP = r.t, r.p
-			best = r.v
-		}
-	}
-	st.Elapsed = time.Since(start)
-	return best, st
+	return best.v, Stats{Solver: e.Name(), Nodes: best.nodes, Exact: !best.aborted,
+		Aborted: best.aborted, Workers: workers, Elapsed: time.Since(start)}
 }
 
-// enumerateRange scores every vector whose first `depth` cores decode the
-// prefix indices in [lo, hi); suffix cores run a full odometer. Vectors are
-// visited in lexicographic order within the range. Nodes are charged to the
-// checkpoint in cpBatch batches; an exhausted checkpoint stops the shard at
-// its current best.
-func enumerateRange(in Instance, depth int, lo, hi int64, cp *Checkpoint) (out struct {
-	found   bool
-	t, p    float64
-	v       modes.Vector
-	nodes   int64
-	aborted bool
-}) {
-	n, m := in.NumCores(), in.NumModes()
-	v := make(modes.Vector, n)
-	best := make(modes.Vector, n)
-	var cpDebt int64
-	for pi := lo; pi < hi; pi++ {
-		// Decode the prefix, most-significant digit first (core 0).
-		rem := pi
-		for c := depth - 1; c >= 0; c-- {
-			v[c] = modes.Mode(rem % int64(m))
-			rem /= int64(m)
-		}
-		for c := depth; c < n; c++ {
-			v[c] = 0
-		}
-		for {
-			out.nodes++
-			if cp != nil {
-				cpDebt++
-				if cpDebt >= cpBatch {
-					if cp.Visit(cpDebt) {
-						out.aborted = true
-						out.v = best
-						return out
-					}
-					cpDebt = 0
-				}
-			}
-			p := in.VectorPower(v)
-			if p <= in.BudgetW {
-				t := in.VectorInstr(v)
-				if !out.found || better(t, p, out.t, out.p) {
-					out.found = true
-					out.t, out.p = t, p
-					copy(best, v)
-				}
-			}
-			// Suffix odometer.
-			c := n - 1
-			for c >= depth {
-				v[c]++
-				if int(v[c]) < m {
-					break
-				}
-				v[c] = 0
-				c--
-			}
-			if c < depth {
-				break
-			}
+// enumerateShards splits the first scan vectors into workers contiguous
+// ranges, one goroutine each, and merges the range winners in order. It is
+// separate from SolveBounded so that only sharded solves move the instance
+// to the heap.
+func enumerateShards(in Instance, scan int64, workers int, cp *Checkpoint) rangeBest {
+	results := make([]rangeBest, workers)
+	var wg sync.WaitGroup
+	for w := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[w] = enumerateRange(in, scan*int64(w)/int64(workers), scan*int64(w+1)/int64(workers), cp)
+		}()
+	}
+	wg.Wait()
+	best := results[0]
+	for _, r := range results[1:] {
+		best.nodes += r.nodes
+		best.aborted = best.aborted || r.aborted
+		if better(r.t, r.p, best.t, best.p) {
+			best.t, best.p, best.v = r.t, r.p, r.v
 		}
 	}
-	out.v = best
-	return out
+	return best
+}
+
+// rangeBest is one lexicographic range's winner.
+type rangeBest struct {
+	v       modes.Vector
+	t, p    float64
+	nodes   int64
+	aborted bool
+}
+
+// enumerateRange scores the vectors with lexicographic indices [lo, hi),
+// core 0 being the most significant digit, starting from the all-deepest
+// incumbent scored (−1, 0). Power and throughput are kept as running prefix
+// sums in core order, so each vector costs only the cores the odometer
+// changed and every sum is bit-identical to VectorPower/VectorInstr. Nodes
+// are charged to the checkpoint in cpBatch batches; a tripped checkpoint
+// stops the range at its current best.
+func enumerateRange(in Instance, lo, hi int64, cp *Checkpoint) (r rangeBest) {
+	n, m := in.NumCores(), in.NumModes()
+	buf := make(modes.Vector, 2*n)
+	v := buf[:n:n]
+	r.v = buf[n:]
+	for c := range r.v {
+		r.v[c] = modes.Mode(m - 1)
+	}
+	r.t = -1
+	rem := lo
+	for c := n - 1; c >= 0; c-- {
+		v[c] = modes.Mode(rem % int64(m))
+		rem /= int64(m)
+	}
+	var small [2 * 17]float64 // prefix sums for up to 16 cores stay on the stack
+	sums := small[:]
+	if 2*(n+1) > len(small) {
+		sums = make([]float64, 2*(n+1))
+	}
+	ps, ts := sums[:n+1], sums[n+1:2*(n+1)]
+	from := 0 // first core whose prefix sums are stale
+	var cpDebt int64
+	for i := lo; i < hi; i++ {
+		r.nodes++
+		if cp != nil {
+			if cpDebt++; cpDebt >= cpBatch {
+				if cp.Visit(cpDebt) {
+					r.aborted = true
+					return r
+				}
+				cpDebt = 0
+			}
+		}
+		for c := from; c < n; c++ {
+			ps[c+1] = ps[c] + in.Power[c][v[c]]
+			ts[c+1] = ts[c] + in.Instr[c][v[c]]
+		}
+		if p := ps[n]; !(p > in.BudgetW) && better(ts[n], p, r.t, r.p) {
+			r.t, r.p = ts[n], p
+			copy(r.v, v)
+		}
+		if i+1 == hi {
+			break
+		}
+		// Odometer: core 0 never wraps inside the enumeration.
+		c := n - 1
+		for int(v[c]) == m-1 {
+			v[c] = 0
+			c--
+		}
+		v[c]++
+		from = c
+	}
+	return r
 }

@@ -58,7 +58,7 @@ func (h *Hier) inner() Solver {
 // hierState is a Session's cross-interval Hier memory: the Alpha-smoothed
 // share grants, the previously returned vector (sliced into per-cluster warm
 // hints), one child Session per cluster (scratch + warm floors for the inner
-// solver), the heap-greedy scratch for the demand pass, and the output
+// solver), the greedy scratch for the demand pass, and the output
 // buffers. It replaces the mutex-guarded shares that used to live inside
 // Hier itself, so the solver value is now immutable during Solve.
 type hierState struct {
@@ -168,14 +168,11 @@ func (h *Hier) solveWith(in Instance, cp *Checkpoint, hs *hierState, hint Hint) 
 	}
 
 	// Global level: greedy demand shares plus an even headroom split.
-	var gv modes.Vector
-	var gnodes int64
-	var gaborted bool
-	if hs != nil && finiteInstance(in) {
-		gv, gnodes, gaborted = heapGreedy(in, cp, &hs.gs)
-	} else {
-		gv, gnodes, gaborted = greedySolve(in, cp)
+	var gs *greedyScratch
+	if hs != nil {
+		gs = &hs.gs
 	}
+	gv, gnodes, gaborted := greedySolve(in, cp, gs)
 	st.Nodes += gnodes
 	if gaborted {
 		// No time for the two-level decomposition: the (possibly partial)

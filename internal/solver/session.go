@@ -285,7 +285,7 @@ func (s *Session) solveBounded(in Instance, h Hint, cp *Checkpoint) (modes.Vecto
 	case *Hier:
 		v, st = b.solveWith(in, cp, s.hier, h)
 	case Greedy:
-		v, st = s.solveGreedy(b, in, cp)
+		v, st = b.solveWith(in, cp, &s.gs)
 	default:
 		v, st = SolveBounded(s.base, in, cp)
 	}
@@ -315,16 +315,16 @@ func (s *Session) solveBounded(in Instance, h Hint, cp *Checkpoint) (modes.Vecto
 	return v, st
 }
 
-// solveBB is the warm BB path: scratch-built frontier, heap greedy seed, and
+// solveBB is the warm BB path: scratch-built frontier, greedy seed, and
 // the hint as an extra pruning floor. Non-finite instances take the cold
-// path — the fast sorts and the heap kernel assume totally ordered keys.
+// path — the fast frontier sorts assume totally ordered keys.
 func (s *Session) solveBB(b *BB, in Instance, h Hint, warm bool, cp *Checkpoint) (modes.Vector, Stats) {
 	start := time.Now()
 	if in.NumCores() == 0 || !finiteInstance(in) {
 		return b.SolveBounded(in, cp)
 	}
 	s.bb.frontier.build(in, true)
-	gv, _, _ := heapGreedy(in, cp, &s.gs)
+	gv, _, _ := greedySolve(in, cp, &s.gs)
 	warmFloor := math.Inf(-1)
 	if warm {
 		if hp := in.VectorPower(h.Vector); hp <= in.BudgetW {
@@ -333,18 +333,6 @@ func (s *Session) solveBB(b *BB, in Instance, h Hint, warm bool, cp *Checkpoint)
 		}
 	}
 	return b.solveFrom(in, cp, &s.bb.frontier, gv, warmFloor, &s.bb, start)
-}
-
-// solveGreedy swaps the O(n²·m) scan for the O(n·m·log n) heap kernel.
-func (s *Session) solveGreedy(g Greedy, in Instance, cp *Checkpoint) (modes.Vector, Stats) {
-	if !finiteInstance(in) {
-		return g.SolveBounded(in, cp)
-	}
-	start := time.Now()
-	v, nodes, aborted := heapGreedy(in, cp, &s.gs)
-	st := Stats{Solver: g.Name(), Nodes: nodes, Elapsed: time.Since(start)}
-	st.Aborted = aborted
-	return v, st
 }
 
 // usableHint reports that the hint vector is shape-compatible with the
@@ -365,9 +353,9 @@ func usableHint(in Instance, h Hint) bool {
 }
 
 // finiteInstance reports that the budget and every matrix entry are finite.
-// The warm paths require it: NaNs have no defined order under the fast
-// sorts and the candidate heap, so non-finite instances fall back to the
-// cold kernels (which the memo also never caches: NaN compares unequal).
+// The warm BB path requires it: NaNs have no defined order under the fast
+// frontier sorts, so non-finite instances fall back to cold BB (which the
+// memo also never caches: NaN compares unequal).
 func finiteInstance(in Instance) bool {
 	if !finite(in.BudgetW) {
 		return false
@@ -728,146 +716,6 @@ func copyMatrix(dst []float64, rows [][]float64, flat []float64, nm int) []float
 		dst = append(dst, row...)
 	}
 	return dst
-}
-
-// greedyScratch is the heap kernel's reusable state.
-type greedyScratch struct {
-	v     modes.Vector
-	heap  []gcand
-	stash []gcand
-}
-
-// gcand is one core's pending single-step upgrade.
-type gcand struct {
-	ratio float64
-	dp    float64
-	core  int32
-}
-
-// candLess orders the candidate heap: higher ratio first, lower core on
-// ties — exactly the candidate greedySolve's first-maximum scan selects.
-func candLess(a, b gcand) bool {
-	if a.ratio != b.ratio {
-		return a.ratio > b.ratio
-	}
-	return a.core < b.core
-}
-
-func (g *greedyScratch) push(c gcand) {
-	g.heap = append(g.heap, c)
-	i := len(g.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !candLess(g.heap[i], g.heap[p]) {
-			break
-		}
-		g.heap[i], g.heap[p] = g.heap[p], g.heap[i]
-		i = p
-	}
-}
-
-func (g *greedyScratch) pop() gcand {
-	h := g.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	g.heap = h
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			break
-		}
-		c := l
-		if r := l + 1; r < len(h) && candLess(h[r], h[l]) {
-			c = r
-		}
-		if !candLess(h[c], h[i]) {
-			break
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
-	return top
-}
-
-// heapGreedy computes greedySolve's exact upgrade sequence in O(n·m·log n)
-// instead of O(n²·m): one pending upgrade per core lives in a max-heap keyed
-// (ratio desc, core asc) — the same candidate the scan's strict first-maximum
-// rule selects each pass. Infeasible pops are stashed and reconsidered only
-// when an applied upgrade *lowers* chip power (with non-negative deltas,
-// infeasibility is monotone, so a stashed candidate can never fit again).
-// Callers must pre-check finiteInstance: a NaN ratio has no heap order.
-// The returned vector aliases g.v. Like greedySolve, the aborted result
-// reports this solve's own checkpoint trips, not the shared latched flag.
-func heapGreedy(in Instance, cp *Checkpoint, g *greedyScratch) (_ modes.Vector, nodes int64, aborted bool) {
-	n := in.NumCores()
-	if cap(g.v) < n {
-		g.v = make(modes.Vector, n)
-	}
-	g.v = g.v[:n]
-	v := g.v
-	deep := modes.Mode(in.NumModes() - 1)
-	for c := range v {
-		v[c] = deep
-	}
-	power := in.VectorPower(v)
-	if power > in.BudgetW {
-		return v, nodes, false // even the floor exceeds the budget
-	}
-	g.heap = g.heap[:0]
-	g.stash = g.stash[:0]
-	for c := 0; c < n; c++ {
-		if v[c] == 0 {
-			continue
-		}
-		dp, ratio := upgradeDelta(in, c, v[c])
-		nodes++
-		g.push(gcand{ratio: ratio, dp: dp, core: int32(c)})
-	}
-	if cp.Visit(nodes) {
-		return v, nodes, true
-	}
-	for {
-		var examined int64
-		sel := gcand{core: -1}
-		for len(g.heap) > 0 {
-			if !(g.heap[0].ratio > -1.0) {
-				break // below the scan's selection floor: nothing qualifies
-			}
-			top := g.pop()
-			examined++
-			if power+top.dp > in.BudgetW {
-				g.stash = append(g.stash, top)
-				continue
-			}
-			sel = top
-			break
-		}
-		nodes += examined
-		if cp.Visit(examined) {
-			return v, nodes, true
-		}
-		if sel.core < 0 {
-			return v, nodes, false
-		}
-		c := int(sel.core)
-		v[c]--
-		power += sel.dp
-		if sel.dp < 0 {
-			// Chip power went down: stashed upgrades may fit again.
-			for _, st := range g.stash {
-				g.push(st)
-			}
-			g.stash = g.stash[:0]
-		}
-		if v[c] > 0 {
-			dp, ratio := upgradeDelta(in, c, v[c])
-			nodes++
-			g.push(gcand{ratio: ratio, dp: dp, core: int32(c)})
-		}
-	}
 }
 
 // resizeFloats returns a zeroed slice of length n, reusing s's backing when

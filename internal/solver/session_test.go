@@ -110,8 +110,8 @@ func TestWarmVsColdGarbageHints(t *testing.T) {
 	}
 }
 
-// TestHeapGreedyMatchesScan pins the session's O(n·m·log n) heap greedy
-// against the canonical O(n²·m) scan kernel, including instances with
+// TestHeapGreedyMatchesScan pins the O(n·m·log n) heap greedy kernel
+// against the O(n²·m) scan reference, including instances with
 // negative upgrade deltas (non-monotone power columns) where infeasible
 // candidates must be reconsidered after power drops.
 func TestHeapGreedyMatchesScan(t *testing.T) {
@@ -119,8 +119,8 @@ func TestHeapGreedyMatchesScan(t *testing.T) {
 		n := 4 + int(seed%13)
 		in := randInstance(seed, n, plan3(), 0.4+0.05*float64(seed%10))
 		var g greedyScratch
-		hv, _, _ := heapGreedy(in, nil, &g)
-		sv, _, _ := greedySolve(in, nil)
+		hv, _, _ := greedySolve(in, nil, &g)
+		sv := scanGreedy(in)
 		if !sv.Equal(hv) {
 			t.Fatalf("seed %d: heap %v != scan %v", seed, hv, sv)
 		}
@@ -137,8 +137,8 @@ func TestHeapGreedyMatchesScan(t *testing.T) {
 			}
 		}
 		var g greedyScratch
-		hv, _, _ := heapGreedy(in, nil, &g)
-		sv, _, _ := greedySolve(in, nil)
+		hv, _, _ := greedySolve(in, nil, &g)
+		sv := scanGreedy(in)
 		if !sv.Equal(hv) {
 			t.Fatalf("adversarial trial %d: heap %v != scan %v", trial, hv, sv)
 		}

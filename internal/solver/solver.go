@@ -8,8 +8,9 @@
 // decision out of internal/core into pluggable solvers behind one interface,
 // all proven against the exhaustive kernel:
 //
-//   - Exhaustive: the brute-force reference, prefix-sharded across worker
-//     goroutines so the tractable range stretches a few cores further.
+//   - Exhaustive: the brute-force reference and MaxBIPS kernel, sharded
+//     across worker goroutines on large instances so the tractable range
+//     stretches a few cores further.
 //   - DP: a pseudo-polynomial multiple-choice knapsack over quantized power
 //     with a configurable quantum and a certified optimality-gap bound.
 //   - BB: exact branch-and-bound seeded with the greedy incumbent and pruned
@@ -18,12 +19,16 @@
 //   - Hier: a two-level manager that partitions the chip budget across core
 //     clusters, solves each cluster independently, and rebalances slack
 //     between clusters — the 1000-core scaling story.
-//   - Greedy: the marginal-utility heuristic (core.GreedyMaxBIPS's algorithm),
-//     used standalone and as the incumbent seed for BB and Hier.
+//   - Greedy: the marginal-utility heuristic, used standalone and as the
+//     incumbent seed for BB and Hier.
+//
+// Exhaustive and Greedy are the only exhaustive and greedy kernels in the
+// module: core.MaxBIPS (and the policies built on it) and
+// core.GreedyMaxBIPS are thin wrappers over them.
 //
 // All solvers are deterministic: ties on predicted throughput resolve to
 // lower power, then to the lexicographically smallest vector, matching the
-// exhaustive kernel in internal/core.
+// exhaustive kernel.
 package solver
 
 import (
@@ -232,93 +237,5 @@ func New(name string, opt Options) (Solver, error) {
 		return Greedy{}, nil
 	default:
 		return nil, fmt.Errorf("solver: unknown solver %q (want exhaustive|dp|bb|hier|greedy)", name)
-	}
-}
-
-// Greedy is the marginal-utility heuristic: start from the all-deepest
-// vector and repeatedly apply the single-core, single-step upgrade with the
-// best ΔBIPS/ΔPower ratio that still fits the budget. O(cores² × modes).
-// Ties on the ratio resolve to the lowest core index (the scan keeps the
-// first maximum), mirroring core.GreedyMaxBIPS so cross-checks between the
-// two implementations are deterministic.
-type Greedy struct{}
-
-// Name implements Solver.
-func (Greedy) Name() string { return "greedy" }
-
-// Solve implements Solver.
-func (g Greedy) Solve(in Instance) (modes.Vector, Stats) {
-	return g.SolveBounded(in, nil)
-}
-
-// SolveBounded implements Bounded.
-func (g Greedy) SolveBounded(in Instance, cp *Checkpoint) (modes.Vector, Stats) {
-	start := time.Now()
-	v, nodes, aborted := greedySolve(in, cp)
-	st := Stats{Solver: g.Name(), Nodes: nodes, Elapsed: time.Since(start)}
-	st.Aborted = aborted
-	return v, st
-}
-
-// upgradeDelta scores the single-step upgrade of core c from mode cur to
-// cur−1: the power delta and the ΔBIPS/ΔPower ratio under the greedy
-// kernel's conventions (near-zero ΔPower with positive ΔBIPS reads as free
-// throughput). Shared by the scan and heap greedy implementations so their
-// candidate orderings agree bit-for-bit.
-func upgradeDelta(in Instance, c int, cur modes.Mode) (dp, ratio float64) {
-	up := cur - 1
-	dp = in.Power[c][up] - in.Power[c][cur]
-	di := in.Instr[c][up] - in.Instr[c][cur]
-	ratio = di
-	if dp > 1e-12 {
-		ratio = di / dp
-	} else if di > 0 {
-		ratio = 1e18 // free throughput
-	}
-	return dp, ratio
-}
-
-// greedySolve is the shared greedy kernel; BB seeds its incumbent and Hier
-// derives its demand shares from it. The checkpoint is consulted once per
-// upgrade pass; an aborted pass returns the vector built so far, which is
-// feasible by construction (upgrades are only applied when they fit). The
-// aborted result reports this solve's own checkpoint trips — not the shared
-// checkpoint's latched flag, which another goroutine may have set after this
-// solve already completed.
-func greedySolve(in Instance, cp *Checkpoint) (v modes.Vector, nodes int64, aborted bool) {
-	n := in.NumCores()
-	v = in.deepestVector()
-	power := in.VectorPower(v)
-	if power > in.BudgetW {
-		return v, nodes, false // even the floor exceeds the budget
-	}
-	for {
-		passStart := nodes
-		bestCore := -1
-		bestRatio := -1.0
-		var bestDP float64
-		for c := 0; c < n; c++ {
-			if v[c] == 0 {
-				continue
-			}
-			dp, ratio := upgradeDelta(in, c, v[c])
-			nodes++
-			if power+dp > in.BudgetW {
-				continue
-			}
-			if ratio > bestRatio {
-				bestRatio = ratio
-				bestCore = c
-				bestDP = dp
-			}
-		}
-		if cp.Visit(nodes - passStart) {
-			return v, nodes, true
-		}
-		if bestCore < 0 {
-			return v, nodes, false
-		}
-		v[bestCore]--
-		power += bestDP
 	}
 }

@@ -52,7 +52,8 @@ func replicatedInstance(n int, plan modes.Plan, budgetFrac float64) Instance {
 }
 
 // referenceSolve is an independent sequential re-implementation of the
-// exhaustive kernel (lexicographic odometer + strict improvement), kept
+// exhaustive kernel (lexicographic odometer + strict improvement, the
+// MaxBIPS rule: a vector fits unless its power exceeds the budget), kept
 // deliberately simple to cross-check the sharded solver.
 func referenceSolve(in Instance) modes.Vector {
 	n, m := in.NumCores(), in.NumModes()
@@ -61,7 +62,7 @@ func referenceSolve(in Instance) modes.Vector {
 	v := make(modes.Vector, n)
 	for {
 		p := in.VectorPower(v)
-		if p <= in.BudgetW {
+		if !(p > in.BudgetW) {
 			t := in.VectorInstr(v)
 			if t > bestT || (t == bestT && p < bestP) {
 				bestT, bestP = t, p
@@ -113,7 +114,7 @@ func TestExhaustiveIntractableFallsBackToGreedy(t *testing.T) {
 	if st.Exact {
 		t.Fatal("64-core exhaustive should not claim exactness")
 	}
-	gv, _, _ := greedySolve(in, nil)
+	gv, _, _ := greedySolve(in, nil, nil)
 	if !v.Equal(gv) {
 		t.Fatal("intractable fallback should be the greedy vector")
 	}
@@ -167,7 +168,7 @@ func TestBBNodeLimitReturnsFeasibleIncumbent(t *testing.T) {
 	if p := in.VectorPower(v); p > in.BudgetW {
 		t.Fatalf("node-limited bb returned infeasible vector: %g > %g", p, in.BudgetW)
 	}
-	gv, _, _ := greedySolve(in, nil)
+	gv, _, _ := greedySolve(in, nil, nil)
 	if in.VectorInstr(v) < in.VectorInstr(gv) {
 		t.Fatal("node-limited bb fell below its greedy seed")
 	}
