@@ -16,16 +16,12 @@
 // zero fresh allocations — the steady-state contract `make bench-check`
 // enforces in CI.
 //
-// Three further gates ride along with -check, all off by default:
+// Two further gates ride along with -check, both off by default:
 //
 //   - -ns-match selects rows whose ns/op must stay within -ns-slack × the
-//     baseline row (latency regression tolerance for the memo-hit and
-//     delta-solve fast paths);
+//     baseline row (latency regression tolerance for steady-state rows);
 //   - -ns-cap "regex=ns[,regex=ns...]" pins absolute ns/op ceilings on fresh
-//     rows (the issue's hard numbers, independent of any baseline);
-//   - -ratio "A<=F*B" relates two fresh rows: the row matching regex A must
-//     run in at most F times the ns/op of the row matching regex B (the
-//     ≥10×-faster-than-full-solve contract, machine-relative by design).
+//     rows (hard numbers, independent of any baseline).
 package main
 
 import (
@@ -54,7 +50,6 @@ func main() {
 	nsMatch := flag.String("ns-match", "", "regexp selecting rows whose ns/op is gated against the baseline (empty: off)")
 	nsSlack := flag.Float64("ns-slack", 1.5, "multiplicative headroom over the baseline ns/op for -ns-match rows")
 	nsCap := flag.String("ns-cap", "", "comma-separated regex=ns pairs pinning absolute ns/op ceilings on fresh rows")
-	ratio := flag.String("ratio", "", `"A<=F*B" gate: fresh row A's ns/op must be at most F times fresh row B's`)
 	flag.Parse()
 
 	var results []Result
@@ -78,10 +73,6 @@ func main() {
 			os.Exit(1)
 		}
 		if err := checkCaps(results, *nsCap); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
-		}
-		if err := checkRatio(results, *ratio); err != nil {
 			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 			os.Exit(1)
 		}
@@ -214,58 +205,6 @@ func checkCaps(fresh []Result, spec string) error {
 			return fmt.Errorf("no rows matched -ns-cap %q — gate disarmed?", pair[:i])
 		}
 	}
-	return nil
-}
-
-// checkRatio enforces a cross-row speedup: spec "A<=F*B" requires the unique
-// fresh row matching regex A to report at most F times the ns/op of the
-// unique fresh row matching regex B.
-func checkRatio(fresh []Result, spec string) error {
-	if spec == "" {
-		return nil
-	}
-	le := strings.Index(spec, "<=")
-	star := strings.Index(spec, "*")
-	if le < 0 || star < le {
-		return fmt.Errorf("bad -ratio %q (want A<=F*B)", spec)
-	}
-	f, err := strconv.ParseFloat(spec[le+2:star], 64)
-	if err != nil {
-		return fmt.Errorf("bad -ratio factor in %q: %v", spec, err)
-	}
-	find := func(expr string) (Result, error) {
-		sel, err := regexp.Compile(expr)
-		if err != nil {
-			return Result{}, fmt.Errorf("bad -ratio regexp %q: %v", expr, err)
-		}
-		var hit *Result
-		for i := range fresh {
-			if _, ok := fresh[i].Metrics["ns/op"]; ok && sel.MatchString(fresh[i].Name) {
-				if hit != nil {
-					return Result{}, fmt.Errorf("-ratio regexp %q matches both %s and %s", expr, hit.Name, fresh[i].Name)
-				}
-				hit = &fresh[i]
-			}
-		}
-		if hit == nil {
-			return Result{}, fmt.Errorf("-ratio regexp %q matched no fresh row", expr)
-		}
-		return *hit, nil
-	}
-	a, err := find(spec[:le])
-	if err != nil {
-		return err
-	}
-	b, err := find(spec[star+1:])
-	if err != nil {
-		return err
-	}
-	if a.Metrics["ns/op"] > f*b.Metrics["ns/op"] {
-		return fmt.Errorf("RATIO %s: %g ns/op exceeds %g × %s (%g ns/op)",
-			a.Name, a.Metrics["ns/op"], f, b.Name, b.Metrics["ns/op"])
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: ok %s: %g ns/op ≤ %g × %s (%g ns/op)\n",
-		a.Name, a.Metrics["ns/op"], f, b.Name, b.Metrics["ns/op"])
 	return nil
 }
 

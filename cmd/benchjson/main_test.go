@@ -91,8 +91,8 @@ func TestCheckBaseline(t *testing.T) {
 
 func TestCheckBaselineLatency(t *testing.T) {
 	base := `[
-  {"name": "BenchmarkSolverDelta/bb-gen-steady/cores=1024", "iterations": 10, "metrics": {"ns/op": 70, "allocs/op": 0}},
-  {"name": "BenchmarkSolverDelta/bb-delta/cores=1024", "iterations": 10, "metrics": {"ns/op": 5600, "allocs/op": 0}}
+  {"name": "BenchmarkSolverWarm/bb-steady/cores=1024", "iterations": 10, "metrics": {"ns/op": 70, "allocs/op": 0}},
+  {"name": "BenchmarkSolverWarm/bb-drift/cores=1024", "iterations": 10, "metrics": {"ns/op": 5600, "allocs/op": 0}}
 ]`
 	dir := t.TempDir()
 	path := dir + "/base.json"
@@ -103,35 +103,35 @@ func TestCheckBaselineLatency(t *testing.T) {
 		return Result{Name: name, Iterations: 10, Metrics: map[string]float64{"ns/op": ns, "allocs/op": 0}}
 	}
 	ok := []Result{
-		row("BenchmarkSolverDelta/bb-gen-steady/cores=1024", 100), // 70*1.5 = 105
-		row("BenchmarkSolverDelta/bb-delta/cores=1024", 8000),     // 5600*1.5 = 8400
+		row("BenchmarkSolverWarm/bb-steady/cores=1024", 100), // 70*1.5 = 105
+		row("BenchmarkSolverWarm/bb-drift/cores=1024", 8000), // 5600*1.5 = 8400
 	}
-	if err := checkBaseline(ok, path, "SolverDelta", 1.05, "gen-steady|bb-delta", 1.5); err != nil {
+	if err := checkBaseline(ok, path, "SolverWarm", 1.05, "bb-steady|bb-drift", 1.5); err != nil {
 		t.Fatalf("within-slack latency rejected: %v", err)
 	}
 	// Past the slack fails.
-	slow := []Result{row("BenchmarkSolverDelta/bb-gen-steady/cores=1024", 120)}
-	if err := checkBaseline(slow, path, "SolverDelta", 1.05, "gen-steady", 1.5); err == nil {
+	slow := []Result{row("BenchmarkSolverWarm/bb-steady/cores=1024", 120)}
+	if err := checkBaseline(slow, path, "SolverWarm", 1.05, "bb-steady", 1.5); err == nil {
 		t.Fatal("latency regression past slack not caught")
 	}
 	// An ns selector matching nothing must fail loudly.
-	if err := checkBaseline(ok, path, "SolverDelta", 1.05, "Renamed", 1.5); err == nil {
+	if err := checkBaseline(ok, path, "SolverWarm", 1.05, "Renamed", 1.5); err == nil {
 		t.Fatal("disarmed ns gate not reported")
 	}
 }
 
 func TestCheckCaps(t *testing.T) {
 	rows := []Result{
-		{Name: "BenchmarkSolverDelta/bb-gen-steady/cores=1024", Metrics: map[string]float64{"ns/op": 66}},
+		{Name: "BenchmarkSolverWarm/bb-steady/cores=1024", Metrics: map[string]float64{"ns/op": 66}},
 		{Name: "BenchmarkFleetEpochSteady", Metrics: map[string]float64{"ns/op": 130}},
 	}
 	if err := checkCaps(rows, ""); err != nil {
 		t.Fatalf("empty spec must be a no-op: %v", err)
 	}
-	if err := checkCaps(rows, "gen-steady=1000,FleetEpochSteady=6500"); err != nil {
+	if err := checkCaps(rows, "bb-steady=1000,FleetEpochSteady=6500"); err != nil {
 		t.Fatalf("under-cap rows rejected: %v", err)
 	}
-	if err := checkCaps(rows, "gen-steady=50"); err == nil {
+	if err := checkCaps(rows, "bb-steady=50"); err == nil {
 		t.Fatal("over-cap row not caught")
 	}
 	if err := checkCaps(rows, "NoSuchRow=1000"); err == nil {
@@ -139,30 +139,5 @@ func TestCheckCaps(t *testing.T) {
 	}
 	if err := checkCaps(rows, "missing-equals"); err == nil {
 		t.Fatal("malformed pair accepted")
-	}
-}
-
-func TestCheckRatio(t *testing.T) {
-	rows := []Result{
-		{Name: "BenchmarkSolverDelta/bb-delta/cores=1024", Metrics: map[string]float64{"ns/op": 5600}},
-		{Name: "BenchmarkSolverDelta/bb-warm-full/cores=1024", Metrics: map[string]float64{"ns/op": 1e7}},
-	}
-	if err := checkRatio(rows, ""); err != nil {
-		t.Fatalf("empty spec must be a no-op: %v", err)
-	}
-	if err := checkRatio(rows, "bb-delta<=0.1*bb-warm-full"); err != nil {
-		t.Fatalf("173× speedup rejected by the 10× gate: %v", err)
-	}
-	if err := checkRatio(rows, "bb-delta<=0.0001*bb-warm-full"); err == nil {
-		t.Fatal("insufficient speedup not caught")
-	}
-	if err := checkRatio(rows, "NoSuchRow<=0.1*bb-warm-full"); err == nil {
-		t.Fatal("ratio with no matching A row must fail")
-	}
-	if err := checkRatio(rows, "bb-<=0.1*bb-warm-full"); err == nil {
-		t.Fatal("ambiguous A regexp must fail")
-	}
-	if err := checkRatio(rows, "garbage"); err == nil {
-		t.Fatal("malformed spec accepted")
 	}
 }

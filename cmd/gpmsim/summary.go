@@ -18,38 +18,18 @@ type obsSummary struct {
 	SolverWarmSolves  int64 `json:"solver_warm_solves"`
 	SolverHintReturns int64 `json:"solver_hint_returns"`
 	SolverPruned      int64 `json:"solver_pruned"`
-	// Delta decision path: dirty cores seen by delta-eligible intervals,
-	// incremental re-solve attempts, certified (returned) patches, and
-	// attempts demoted to a full warm solve.
-	DirtyCores     int64 `json:"dirty_cores"`
-	DeltaSolves    int64 `json:"delta_solves"`
-	DeltaCertified int64 `json:"delta_certified"`
-	DeltaFallbacks int64 `json:"delta_fallbacks"`
-	// Session invalidations per discontinuity class.
-	InvalidateBudgetStep int `json:"invalidate_budget_step"`
-	InvalidateCoreDeath  int `json:"invalidate_core_death"`
-	InvalidateEmergency  int `json:"invalidate_emergency"`
-	InvalidateDegraded   int `json:"invalidate_degraded"`
 }
 
 func newObsSummary(o engine.ObsCounters) obsSummary {
 	return obsSummary{
-		Decisions:            o.Decisions,
-		GuardOverrides:       o.GuardOverrides,
-		SolverNodes:          o.SolverNodes,
-		WarmHints:            o.WarmHints,
-		SolverMemoHits:       o.SolverMemoHits,
-		SolverWarmSolves:     o.SolverWarmSolves,
-		SolverHintReturns:    o.SolverHintReturns,
-		SolverPruned:         o.SolverPruned,
-		DirtyCores:           o.DirtyCores,
-		DeltaSolves:          o.DeltaSolves,
-		DeltaCertified:       o.DeltaCertified,
-		DeltaFallbacks:       o.DeltaFallbacks,
-		InvalidateBudgetStep: o.InvalidateBudgetStep,
-		InvalidateCoreDeath:  o.InvalidateCoreDeath,
-		InvalidateEmergency:  o.InvalidateEmergency,
-		InvalidateDegraded:   o.InvalidateDegraded,
+		Decisions:         o.Decisions,
+		GuardOverrides:    o.GuardOverrides,
+		SolverNodes:       o.SolverNodes,
+		WarmHints:         o.WarmHints,
+		SolverMemoHits:    o.SolverMemoHits,
+		SolverWarmSolves:  o.SolverWarmSolves,
+		SolverHintReturns: o.SolverHintReturns,
+		SolverPruned:      o.SolverPruned,
 	}
 }
 
@@ -152,14 +132,6 @@ func newFleetSummary(res *fleet.Result) fleetSummary {
 		agg.SolverWarmSolves += cr.Obs.SolverWarmSolves
 		agg.SolverHintReturns += cr.Obs.SolverHintReturns
 		agg.SolverPruned += cr.Obs.SolverPruned
-		agg.DirtyCores += cr.Obs.DirtyCores
-		agg.DeltaSolves += cr.Obs.DeltaSolves
-		agg.DeltaCertified += cr.Obs.DeltaCertified
-		agg.DeltaFallbacks += cr.Obs.DeltaFallbacks
-		agg.InvalidateBudgetStep += cr.Obs.InvalidateBudgetStep
-		agg.InvalidateCoreDeath += cr.Obs.InvalidateCoreDeath
-		agg.InvalidateEmergency += cr.Obs.InvalidateEmergency
-		agg.InvalidateDegraded += cr.Obs.InvalidateDegraded
 	}
 	out.ChipObs = newObsSummary(agg)
 	return out

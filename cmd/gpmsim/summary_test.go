@@ -14,8 +14,6 @@ import (
 var obsSchemaKeys = []string{
 	"decisions", "guard_overrides", "solver_nodes", "warm_hints",
 	"solver_memo_hits", "solver_warm_solves", "solver_hint_returns", "solver_pruned",
-	"dirty_cores", "delta_solves", "delta_certified", "delta_fallbacks",
-	"invalidate_budget_step", "invalidate_core_death", "invalidate_emergency", "invalidate_degraded",
 }
 
 func keysOf(t *testing.T, v interface{}) map[string]json.RawMessage {
@@ -32,19 +30,14 @@ func keysOf(t *testing.T, v interface{}) map[string]json.RawMessage {
 }
 
 // TestObsSummarySchema pins the counter block's key set and checks the
-// engine → summary field mapping carries the delta-path values through.
+// engine → summary field mapping carries the session counters through.
 func TestObsSummarySchema(t *testing.T) {
 	o := engine.ObsCounters{
-		Decisions:            7,
-		SolverMemoHits:       5,
-		DirtyCores:           11,
-		DeltaSolves:          4,
-		DeltaCertified:       3,
-		DeltaFallbacks:       1,
-		InvalidateBudgetStep: 2,
-		InvalidateCoreDeath:  1,
-		InvalidateEmergency:  1,
-		InvalidateDegraded:   1,
+		Decisions:         7,
+		SolverMemoHits:    5,
+		SolverWarmSolves:  4,
+		SolverHintReturns: 3,
+		SolverPruned:      11,
 	}
 	m := keysOf(t, newObsSummary(o))
 	for _, k := range obsSchemaKeys {
@@ -57,11 +50,8 @@ func TestObsSummarySchema(t *testing.T) {
 	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.DeltaSolves != 4 || got.DeltaCertified != 3 || got.DeltaFallbacks != 1 || got.DirtyCores != 11 {
-		t.Errorf("delta counters lost in round trip: %+v", got)
-	}
-	if got.InvalidateBudgetStep != 2 || got.InvalidateCoreDeath != 1 {
-		t.Errorf("invalidation counters lost in round trip: %+v", got)
+	if got.SolverMemoHits != 5 || got.SolverWarmSolves != 4 || got.SolverHintReturns != 3 || got.SolverPruned != 11 {
+		t.Errorf("session counters lost in round trip: %+v", got)
 	}
 }
 
@@ -108,15 +98,15 @@ func TestFleetSummaryAggregation(t *testing.T) {
 			{DirtyChips: 1},
 		},
 		ChipResults: []*engine.Result{
-			{Obs: engine.ObsCounters{DeltaSolves: 3, DeltaCertified: 2, DirtyCores: 5}},
-			{Obs: engine.ObsCounters{DeltaSolves: 1, DeltaFallbacks: 1, DirtyCores: 2}},
+			{Obs: engine.ObsCounters{SolverMemoHits: 3, SolverWarmSolves: 2, SolverPruned: 5}},
+			{Obs: engine.ObsCounters{SolverMemoHits: 1, SolverHintReturns: 1, SolverPruned: 2}},
 		},
 	}
 	s := newFleetSummary(res)
 	if s.Epochs != 3 || s.EpochSolvesSkipped != 1 || s.EpochDirtyChips != 3 {
 		t.Errorf("epoch telemetry = %d/%d/%d, want 3/1/3", s.Epochs, s.EpochSolvesSkipped, s.EpochDirtyChips)
 	}
-	if s.ChipObs.DeltaSolves != 4 || s.ChipObs.DeltaCertified != 2 || s.ChipObs.DeltaFallbacks != 1 || s.ChipObs.DirtyCores != 7 {
+	if s.ChipObs.SolverMemoHits != 4 || s.ChipObs.SolverWarmSolves != 2 || s.ChipObs.SolverHintReturns != 1 || s.ChipObs.SolverPruned != 7 {
 		t.Errorf("chip obs aggregation wrong: %+v", s.ChipObs)
 	}
 	m := keysOf(t, s)

@@ -16,7 +16,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"gpm/internal/modes"
 )
@@ -49,36 +48,12 @@ type Matrices struct {
 	// Solver sessions alias them for memo comparison and cluster slicing.
 	flatP, flatI []float64
 
-	// Change-detection handshake, maintained by MatricesInto: genID uniquely
-	// identifies this backing (a fresh ID on every re-layout), gen is bumped
-	// once per call that changed anything, and gens[c] records the generation
-	// at which core c's rows last changed. lastS/lastM are the per-core
-	// (sample, mode) inputs the current rows were computed from — a row is a
-	// pure function of them under a fixed predictor, so an equal input means
-	// the row is bit-identical and both the fill and the stamp are skipped.
-	gens         []uint64
-	gen          uint64
-	genID        uint64
-	lastS        []Sample
-	lastM        modes.Vector
-}
-
-// matricesGenID hands out process-unique backing IDs (0 reserved: untracked).
-var matricesGenID atomic.Uint64
-
-// Generations exposes the change-detection handshake for the matrices'
-// current contents: per-core generation stamps, the overall generation, and
-// the backing ID (0 for hand-shaped matrices, which are untracked). Solver
-// sessions use it — threaded through solver.Instance by SolverPolicy — to
-// answer memo lookups in O(1) and learn the dirty-core set in O(cores).
-// The invariant callers rely on: two snapshots with equal genID and gen have
-// bit-identical matrices, and gens[c] differing between them implies core
-// c's rows may differ.
-func (mx Matrices) Generations() (gens []uint64, gen, genID uint64) {
-	if len(mx.gens) != len(mx.Power) {
-		return nil, 0, 0
-	}
-	return mx.gens, mx.gen, mx.genID
+	// lastS/lastM are the per-core (sample, mode) inputs the current rows
+	// were computed from, maintained by MatricesInto: a row is a pure
+	// function of them under a fixed predictor, so an equal input means the
+	// row is bit-identical and its fill is skipped.
+	lastS []Sample
+	lastM modes.Vector
 }
 
 // Flat returns the row-major contiguous backings of the matrices when they
@@ -148,10 +123,9 @@ func (p Predictor) Matrices(current modes.Vector, samples []Sample) Matrices {
 //
 // On reuse, rows whose (sample, current mode) inputs equal the previous
 // call's are left untouched — each row is a pure function of those inputs
-// under a fixed predictor, so the skipped row is bit-identical to a refill —
-// and the generation handshake (Generations) stamps exactly the rows that
-// changed. Callers therefore must not (a) mutate filled matrices externally
-// or (b) drive the same Matrices value through predictors with different
+// under a fixed predictor, so the skipped row is bit-identical to a refill.
+// Callers therefore must not (a) mutate filled matrices externally or (b)
+// drive the same Matrices value through predictors with different
 // parameters; either breaks the purity assumption behind the skip.
 func (p Predictor) MatricesInto(mx *Matrices, current modes.Vector, samples []Sample) {
 	n := len(current)
@@ -176,28 +150,20 @@ func (p Predictor) MatricesInto(mx *Matrices, current modes.Vector, samples []Sa
 			mx.Instr[c] = mx.flatI[c*nm : (c+1)*nm : (c+1)*nm]
 		}
 	}
-	// Generation tracking: a fresh backing gets a fresh ID and every row
-	// stamped; a reused one only stamps (and refills) rows whose inputs
-	// changed. NaN inputs compare unequal to themselves, so a poisoned sample
-	// is conservatively dirty every interval and can never be skipped into.
-	fresh := !reuse || len(mx.gens) != n || len(mx.lastS) != n || len(mx.lastM) != n
+	// Row skip: a reused backing only refills rows whose inputs changed. NaN
+	// inputs compare unequal to themselves, so a poisoned sample is refilled
+	// every interval and can never be skipped into.
+	fresh := !reuse || len(mx.lastS) != n || len(mx.lastM) != n
 	if fresh {
-		mx.genID = matricesGenID.Add(1)
-		mx.gen = 0
-		mx.gens = make([]uint64, n)
 		mx.lastS = make([]Sample, n)
 		mx.lastM = make(modes.Vector, n)
 	}
-	newGen := mx.gen + 1
-	changed := false
 	for c := 0; c < n; c++ {
 		if !fresh && samples[c] == mx.lastS[c] && current[c] == mx.lastM[c] {
-			continue // same inputs ⇒ bit-identical row: skip fill and stamp
+			continue // same inputs ⇒ bit-identical row: skip the fill
 		}
-		mx.gens[c] = newGen
 		mx.lastS[c] = samples[c]
 		mx.lastM[c] = current[c]
-		changed = true
 		if samples[c].Done {
 			// Completed cores predict zero in every mode; rows may be reused,
 			// so zero them explicitly.
@@ -221,9 +187,6 @@ func (p Predictor) MatricesInto(mx *Matrices, current modes.Vector, samples []Sa
 			}
 			mx.Instr[c][m] = instr
 		}
-	}
-	if changed {
-		mx.gen = newGen
 	}
 }
 

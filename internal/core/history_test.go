@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"gpm/internal/modes"
@@ -300,4 +301,128 @@ func BenchmarkHistoryPredictor(b *testing.B) {
 			base.MatricesInto(&mx, cur, samples)
 		}
 	})
+}
+
+// TestHistoryStateRoundTrip pins the persistence API: export after training,
+// validate, import into a fresh predictor, and check the tables (and only
+// the tables) carried over.
+func TestHistoryStateRoundTrip(t *testing.T) {
+	plan := testPlanH(t)
+	base := Predictor{Plan: plan, ExploreSeconds: 500e-6}
+	cfg := HistoryConfig{Depth: 2, Buckets: 3, StepFrac: 0.08}
+	a := NewHistoryPredictor(base, cfg)
+	cur := modes.Uniform(2, modes.Turbo)
+
+	// A repeating ×1.08 / ÷1.08 alternation trains table entries once the
+	// pattern register warms.
+	var mx Matrices
+	instr := []float64{1e6, 5e5}
+	for i := 0; i < 10; i++ {
+		s := []Sample{{PowerW: 10, Instr: instr[0]}, {PowerW: 8, Instr: instr[1]}}
+		a.MatricesInto(&mx, cur, s)
+		if i%2 == 0 {
+			instr[0] *= 1.08
+			instr[1] *= 1.08
+		} else {
+			instr[0] /= 1.08
+			instr[1] /= 1.08
+		}
+	}
+
+	st := a.ExportState()
+	if err := st.Validate(); err != nil {
+		t.Fatalf("exported state invalid: %v", err)
+	}
+	if len(st.Tables) != 2 {
+		t.Fatalf("exported %d tables, want 2", len(st.Tables))
+	}
+	trained := 0
+	for _, table := range st.Tables {
+		for _, e := range table {
+			if e != historyCold {
+				trained++
+			}
+		}
+	}
+	if trained == 0 {
+		t.Fatal("training produced no table entries; the round trip is vacuous")
+	}
+
+	b := NewHistoryPredictor(base, cfg)
+	if err := b.ImportState(st); err != nil {
+		t.Fatalf("import: %v", err)
+	}
+	if got := b.ExportState(); !reflect.DeepEqual(got.Tables, st.Tables) {
+		t.Fatal("tables did not survive the round trip")
+	}
+	for c := range b.cores {
+		if b.cores[c].warmth != 0 || b.cores[c].prevOK {
+			t.Fatalf("core %d volatile registers imported: %+v", c, b.cores[c])
+		}
+	}
+
+	// A matching-width decision preserves the imported tables...
+	s := []Sample{{PowerW: 10, Instr: 1e6}, {PowerW: 8, Instr: 5e5}}
+	b.MatricesInto(&mx, cur, s)
+	if got := b.ExportState(); !reflect.DeepEqual(got.Tables, st.Tables) {
+		t.Fatal("matching-width decision wiped imported tables")
+	}
+	// ...and a mismatched width resets them (the documented discard).
+	b.MatricesInto(&mx, modes.Uniform(3, modes.Turbo),
+		[]Sample{{PowerW: 10, Instr: 1e6}, {PowerW: 8, Instr: 5e5}, {PowerW: 6, Instr: 3e5}})
+	if got := b.ExportState(); len(got.Tables) != 3 {
+		t.Fatalf("width change kept %d tables, want reset to 3", len(got.Tables))
+	}
+}
+
+// TestHistoryStateValidation is the table-driven rejection check for
+// ImportState and Validate.
+func TestHistoryStateValidation(t *testing.T) {
+	plan := testPlanH(t)
+	base := Predictor{Plan: plan, ExploreSeconds: 500e-6}
+	cfg := HistoryConfig{Depth: 2, Buckets: 3, StepFrac: 0.08}
+	mk := func() *HistoryState {
+		h := NewHistoryPredictor(base, cfg)
+		var mx Matrices
+		h.MatricesInto(&mx, modes.Uniform(2, modes.Turbo),
+			[]Sample{{PowerW: 10, Instr: 1e6}, {PowerW: 8, Instr: 5e5}})
+		return h.ExportState()
+	}
+
+	cases := []struct {
+		name string
+		mut  func(*HistoryState)
+	}{
+		{"bad version", func(st *HistoryState) { st.Version = 99 }},
+		{"invalid config", func(st *HistoryState) { st.Config.StepFrac = -1 }},
+		{"short table", func(st *HistoryState) { st.Tables[0] = st.Tables[0][:1] }},
+		{"entry out of range", func(st *HistoryState) { st.Tables[1][0] = 100 }},
+	}
+	for _, tc := range cases {
+		st := mk()
+		tc.mut(st)
+		if err := st.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted", tc.name)
+		}
+		h := NewHistoryPredictor(base, cfg)
+		if err := h.ImportState(st); err == nil {
+			t.Errorf("%s: ImportState accepted", tc.name)
+		}
+	}
+
+	// Config mismatch: a valid state for a different geometry.
+	st := mk()
+	other := NewHistoryPredictor(base, HistoryConfig{Depth: 3, Buckets: 3, StepFrac: 0.08})
+	if err := other.ImportState(st); err == nil {
+		t.Error("config-mismatched import accepted")
+	}
+
+	// Importing over a live predictor is refused.
+	live := NewHistoryPredictor(base, cfg)
+	var mx Matrices
+	live.MatricesInto(&mx, modes.Uniform(2, modes.Turbo),
+		[]Sample{{PowerW: 10, Instr: 1e6}, {PowerW: 8, Instr: 5e5}})
+	if err := live.ImportState(mk()); err == nil {
+		t.Error("import over a live predictor accepted")
+	}
 }

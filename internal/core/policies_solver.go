@@ -61,11 +61,10 @@ func (p *SolverPolicy) CloseSession() {
 	}
 }
 
-// InvalidateSession drops the session's memoized optimum, delta certificate,
-// and stability flag, if a session exists. The engine calls this at workload
-// discontinuities (budget steps, core death, emergency throttles, supervisor
-// degradation) where the previous interval's state is no longer evidence
-// about the next one.
+// InvalidateSession drops the session's instance memo and stability flag, if
+// a session exists (Session.Invalidate). The memo only answers bit-identical
+// instances, so this never changes a decision; nothing in the engine calls
+// it, and it stays for callers that type-assert the method.
 func (p *SolverPolicy) InvalidateSession() {
 	if p.session != nil {
 		p.session.Invalidate()
@@ -99,13 +98,6 @@ func (p SolverPolicy) Decide(ctx Context) modes.Vector {
 	}
 	if fp, fi, ok := ctx.Matrices.Flat(); ok {
 		inst.FlatPower, inst.FlatInstr = fp, fi
-	}
-	// Generation handshake: when the predictor stamps change tracking onto
-	// the matrices, pass it through so a session can gen-check its memo and
-	// re-solve only the dirty cores. Untracked matrices (genID 0) leave the
-	// instance untracked and the session falls back to content comparison.
-	if gens, gen, genID := ctx.Matrices.Generations(); genID != 0 {
-		inst.Gens, inst.Gen, inst.GenID = gens, gen, genID
 	}
 	var v modes.Vector
 	var stats solver.Stats

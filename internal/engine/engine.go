@@ -193,7 +193,6 @@ type Loop struct {
 	// supervisor degradation); budget jumps and core death/completion are
 	// re-checked at decision time against prevBudget/prevDeadDone.
 	sessOwner    sessionOwner
-	sessInval    sessionInvalidator
 	warmed       bool
 	prevBudget   float64
 	prevDeadDone int
@@ -284,15 +283,6 @@ func New(sub Substrate, opt Options) (*Loop, error) {
 			so.EnsureSession()
 			l.sessOwner = so
 		}
-		l.sessInval, _ = ph.Policy().(sessionInvalidator)
-	}
-	// When the decider itself mediates invalidation — the watchdog supervisor
-	// defers it while an abandoned decision still runs the policy's session on
-	// the worker goroutine — route through it instead of the bare policy.
-	if l.sessInval != nil {
-		if si, ok := l.decider.(sessionInvalidator); ok {
-			l.sessInval = si
-		}
 	}
 
 	// Bootstrap sample: the local monitors report each core's behaviour at
@@ -379,25 +369,8 @@ func (l *Loop) decide() error {
 			deadDone++
 		}
 	}
-	warm := l.warmed
-	if deadDone != l.prevDeadDone {
-		warm = false
-		// The live-core population changed shape: the session's memoized
-		// optimum and delta certificate describe a chip that no longer
-		// exists. Drop them before the decision so the delta fast path
-		// cannot patch against stale structure.
-		if l.sessInval != nil {
-			l.sessInval.InvalidateSession()
-			res.Obs.InvalidateCoreDeath++
-		}
-	}
-	if l.prevBudget != 0 && math.Abs(l.budget-l.prevBudget) > 0.25*math.Abs(l.prevBudget) {
-		warm = false
-		if l.sessInval != nil {
-			l.sessInval.InvalidateSession()
-			res.Obs.InvalidateBudgetStep++
-		}
-	}
+	budgetStep := l.prevBudget != 0 && math.Abs(l.budget-l.prevBudget) > 0.25*math.Abs(l.prevBudget)
+	warm := l.warmed && deadDone == l.prevDeadDone && !budgetStep
 	l.prevDeadDone = deadDone
 	l.prevBudget = l.budget
 	var hint modes.Vector
@@ -452,24 +425,8 @@ func (l *Loop) decide() error {
 	// unless it did not come from the policy's own solve: the guard's
 	// emergency throttle and every supervisor intervention (degraded rung,
 	// abandoned or wedged solve) actuate vectors the solver never chose.
-	l.warmed = true
-	if inEmergency {
-		l.warmed = false
-		// The guard actuated a vector the solver never chose; the session's
-		// memo now disagrees with the chip state, so the next decision must
-		// not answer from it (or patch a delta on top of it).
-		if l.sessInval != nil {
-			l.sessInval.InvalidateSession()
-			res.Obs.InvalidateEmergency++
-		}
-	}
-	if l.supRep != nil && (sup.Rung > 0 || sup.TimedOut || sup.Wedged) {
-		l.warmed = false
-		if l.sessInval != nil {
-			l.sessInval.InvalidateSession()
-			res.Obs.InvalidateDegraded++
-		}
-	}
+	degraded := l.supRep != nil && (sup.Rung > 0 || sup.TimedOut || sup.Wedged)
+	l.warmed = !inEmergency && !degraded
 	stall := l.opt.Plan.MaxTransitionBetween(l.current, next)
 	// Per-core stall power: the worst-case endpoint of the transition
 	// (§5.1: execution halts, CPU power is still consumed). Skipped
@@ -683,10 +640,6 @@ func (l *Loop) Finish() *Result {
 				res.Obs.SolverWarmSolves = ss.WarmFloored
 				res.Obs.SolverHintReturns = ss.HintReturns
 				res.Obs.SolverPruned = ss.Pruned
-				res.Obs.DirtyCores = ss.DirtyCores
-				res.Obs.DeltaSolves = ss.DeltaSolves
-				res.Obs.DeltaCertified = ss.DeltaCertified
-				res.Obs.DeltaFallbacks = ss.DeltaFallbacks
 			}
 		}
 	}

@@ -128,23 +128,14 @@ type ObsCounters struct {
 	SolverWarmSolves  int64
 	SolverHintReturns int64
 	SolverPruned      int64
-	// DirtyCores/DeltaSolves/DeltaCertified/DeltaFallbacks snapshot the
-	// session's delta-path counters at Finish: cores the generation handshake
-	// flagged changed across delta-eligible intervals, incremental re-solve
-	// attempts, attempts whose patched vector was certified optimal and
-	// returned without a full solve, and attempts demoted to a warm solve.
-	DirtyCores     int64
-	DeltaSolves    int64
+	// Deprecated: always 0 since the delta path was removed; read by perfbench.
+	DirtyCores int64
+	// Deprecated: always 0 since the delta path was removed; read by perfbench.
+	DeltaSolves int64
+	// Deprecated: always 0 since the delta path was removed; read by perfbench.
 	DeltaCertified int64
+	// Deprecated: always 0 since the delta path was removed; read by perfbench.
 	DeltaFallbacks int64
-	// Invalidate* count the session invalidations the loop issued per
-	// discontinuity class: budget steps beyond the warm-hint tolerance, core
-	// death/completion changing the live set, emergency throttles, and
-	// supervisor degradation (rung > 0, watchdog timeout, or wedge).
-	InvalidateBudgetStep int
-	InvalidateCoreDeath  int
-	InvalidateEmergency  int
-	InvalidateDegraded   int
 	// TraceRecords counts DecisionTraces emitted to the attached Observer
 	// (zero when tracing is off).
 	TraceRecords int
@@ -190,12 +181,9 @@ type sessionOwner interface {
 
 // sessionReporter is the optional Policy facet exposing the session's
 // cumulative warm-start counters for Result.Obs.
-type sessionReporter interface{ SessionStats() (solver.SessionStats, bool) }
-
-// sessionInvalidator is the optional Policy facet the loop uses to drop the
-// session's memo, delta certificate, and stability flag at workload
-// discontinuities (satisfied by *core.SolverPolicy).
-type sessionInvalidator interface{ InvalidateSession() }
+type sessionReporter interface {
+	SessionStats() (solver.SessionStats, bool)
+}
 
 // policyHolder lets the engine reach the decider's policy for nodeReporter.
 type policyHolder interface{ Policy() core.Policy }

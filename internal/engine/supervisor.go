@@ -122,14 +122,6 @@ type supervisor struct {
 	timer       *time.Timer
 	workSamples []core.Sample // worker-owned copy; written only while idle
 	busy        bool          // an abandoned decision is still running
-
-	// sessInval is the inner policy's solver-session invalidator, when it has
-	// one. The session is single-goroutine state that the worker uses during
-	// decisions, so engine-requested invalidations arriving while an
-	// abandoned decision still owns it are deferred (pendingInval) and
-	// applied at the next point the worker is provably idle.
-	sessInval    sessionInvalidator
-	pendingInval bool
 }
 
 var _ Decider = (*supervisor)(nil)
@@ -147,9 +139,6 @@ func newSupervisor(cfg SupervisorConfig, inner Decider, inj *fault.Injector, n i
 		lastGood: make(modes.Vector, n),
 	}
 	s.deepest = modes.Uniform(n, modes.Mode(s.plan.NumModes()-1))
-	if ph, ok := inner.(policyHolder); ok {
-		s.sessInval, _ = ph.Policy().(sessionInvalidator)
-	}
 	if cfg.Deadline > 0 {
 		s.reqC = make(chan core.Decision, 1)
 		s.resC = make(chan modes.Vector, 1)
@@ -242,7 +231,6 @@ func (s *supervisor) tryDecider(d core.Decision, out *modes.Vector) bool {
 			// manager to what was actually actuated meanwhile.
 			s.busy = false
 			s.syncInner(s.current)
-			s.applyPendingInval()
 		default:
 			s.last.Wedged = true
 			return false
@@ -406,33 +394,6 @@ func (s *supervisor) LastCandidate() modes.Vector {
 	return nil
 }
 
-// InvalidateSession implements sessionInvalidator under the ownership rule:
-// idle, it forwards to the inner policy's session immediately; with an
-// abandoned decision still running the inner manager — and with it the
-// policy's single-goroutine solver session — the invalidation is deferred
-// and applied at the next point the worker is provably idle (the next
-// dispatch, or drain). Either way it lands before the session's next use.
-func (s *supervisor) InvalidateSession() {
-	if s.sessInval == nil {
-		return
-	}
-	if s.busy {
-		s.pendingInval = true
-		return
-	}
-	s.sessInval.InvalidateSession()
-}
-
-// applyPendingInval flushes a deferred session invalidation. Callers must
-// have just established that the worker is idle (busy == false after a resC
-// receive, which also orders the worker's session writes before ours).
-func (s *supervisor) applyPendingInval() {
-	if s.pendingInval && !s.busy && s.sessInval != nil {
-		s.pendingInval = false
-		s.sessInval.InvalidateSession()
-	}
-}
-
 // Policy implements policyHolder (end-of-run solver-node accounting).
 func (s *supervisor) Policy() core.Policy {
 	if ph, ok := s.inner.(policyHolder); ok {
@@ -449,7 +410,6 @@ func (s *supervisor) drain() {
 		<-s.resC
 		s.busy = false
 		s.syncInner(s.current)
-		s.applyPendingInval()
 	}
 }
 

@@ -170,3 +170,70 @@ func TestEngineSessionCounters(t *testing.T) {
 		t.Fatal("session still open after Finish")
 	}
 }
+
+// interveningDecider wraps a manager and reports, on chosen decisions, the
+// two interventions after which the loop must withhold the next warm hint:
+// the guard's emergency throttle and a supervisor degradation. It records
+// the hint every decision received.
+type interveningDecider struct {
+	Decider
+	emergencyAt, degradedAt int
+	n                       int
+	hints                   []modes.Vector
+}
+
+func (d *interveningDecider) StepDecision(dec core.Decision) modes.Vector {
+	var h modes.Vector
+	if dec.Hint != nil {
+		h = dec.Hint.Clone()
+	}
+	d.hints = append(d.hints, h)
+	d.n++
+	return d.Decider.StepDecision(dec)
+}
+
+func (d *interveningDecider) InEmergency() bool { return d.n-1 == d.emergencyAt }
+
+func (d *interveningDecider) LastSupervision() Supervision {
+	if d.n-1 == d.degradedAt {
+		return Supervision{Rung: 1, TimedOut: true}
+	}
+	return Supervision{}
+}
+
+// TestWarmHintWithheldAfterInterventions pins the other two discontinuity
+// rules: the decision right after an emergency-throttled one, and the one
+// right after a degraded (rung > 0, timed-out) one, are cold; warmth resumes
+// the interval after.
+func TestWarmHintWithheldAfterInterventions(t *testing.T) {
+	plan := testPlan(t)
+	sub := newFakeSub(plan, []float64{20, 18, 15, 17}, []float64{900, 1000, 700, 850}, 500e-6)
+	pred := core.Predictor{Plan: plan, ExploreSeconds: 500e-6}
+	dec := &interveningDecider{
+		Decider:     NewDecider(plan, core.MaxBIPS{}, pred, 4, nil),
+		emergencyAt: 1,
+		degradedAt:  3,
+	}
+	res := runFake(t, sub, Options{
+		Plan:             plan,
+		Budget:           func(time.Duration) float64 { return 55 },
+		Decider:          dec,
+		DeltaSim:         50 * time.Microsecond,
+		DeltasPerExplore: 10,
+		Horizon:          3 * time.Millisecond, // 6 decisions
+	})
+
+	if len(dec.hints) != 6 {
+		t.Fatalf("%d decisions recorded, want 6", len(dec.hints))
+	}
+	for i, h := range dec.hints {
+		wantWarm := i%2 == 1 // cold at 0, after the emergency (2), after the degradation (4)
+		if (h != nil) != wantWarm {
+			t.Fatalf("decision %d hint %v, want warm=%v", i, h, wantWarm)
+		}
+	}
+	if res.Obs.WarmHints != 3 || res.Obs.GuardOverrides != 1 || res.Obs.DegradedDecisions != 1 {
+		t.Fatalf("WarmHints/GuardOverrides/DegradedDecisions = %d/%d/%d, want 3/1/1",
+			res.Obs.WarmHints, res.Obs.GuardOverrides, res.Obs.DegradedDecisions)
+	}
+}

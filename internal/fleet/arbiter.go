@@ -1,19 +1,12 @@
 package fleet
 
 import (
-	"sync/atomic"
 	"time"
 
 	"gpm/internal/modes"
 	"gpm/internal/solver"
 	"gpm/internal/trace"
 )
-
-// arbiterGenID hands out change-tracking identities for arbiter instance
-// matrices (one per arbiter lifetime; 0 means untracked). Each arbiter owns
-// its session, so uniqueness only has to hold per session — the atomic makes
-// it hold globally anyway.
-var arbiterGenID atomic.Uint64
 
 // arbiter redistributes the facility power cap across chips once per epoch.
 // The rebalance is a budgeted mode-allocation instance with chips as "cores"
@@ -48,15 +41,11 @@ type arbiter struct {
 	lastVec              modes.Vector
 	lastInstr            float64
 
-	// Generation handshake, mirrored from core.MatricesInto: chip i's matrix
-	// rows are pure functions of (estEff, demand) under fixed levels and
-	// envelope, so rebalance refills and stamps only the chips whose inputs
-	// changed. The session gen-checks its memo against gens/gen, and when no
-	// chip is dirty, the cap is bit-equal, and the session attests stability,
-	// the epoch solve is skipped outright and lastVec reused.
-	gens       []uint64
-	gen        uint64
-	genID      uint64
+	// Dirty detection, mirrored from core.MatricesInto's row skip: chip i's
+	// matrix rows are pure functions of (estEff, demand) under fixed levels
+	// and envelope, so rebalance refills only the chips whose inputs changed.
+	// When no chip is dirty, the cap is bit-equal, and the session attests
+	// stability, the epoch solve is skipped outright and lastVec reused.
 	lastEff    []float64
 	lastDemand []float64
 	lastCapW   float64
@@ -104,7 +93,7 @@ func levelName(j int) string {
 }
 
 // ensureMatrices sizes the reused instance matrices for n chips × m levels,
-// reporting whether they (and the change-tracking state) were rebuilt — a
+// reporting whether they (and the dirty-detection state) were rebuilt — a
 // rebuild marks every chip dirty for the coming fill.
 func (a *arbiter) ensureMatrices(n, m int) bool {
 	if len(a.power) == n && len(a.powerFlat) == n*m {
@@ -118,9 +107,6 @@ func (a *arbiter) ensureMatrices(n, m int) bool {
 		a.power[i] = a.powerFlat[i*m : (i+1)*m : (i+1)*m]
 		a.instr[i] = a.instrFlat[i*m : (i+1)*m : (i+1)*m]
 	}
-	a.genID = arbiterGenID.Add(1)
-	a.gen = 0
-	a.gens = make([]uint64, n)
 	a.lastEff = make([]float64, n)
 	a.lastDemand = make([]float64, n)
 	return true
@@ -142,7 +128,6 @@ func (a *arbiter) rebalance(f *Fleet, now time.Duration) EpochStats {
 
 	fresh := a.ensureMatrices(n, len(a.levels))
 	power, instr := a.power, a.instr
-	newGen := a.gen + 1
 	dirty := 0
 	for i, c := range f.chips {
 		// Efficiency telemetry: committed instructions per joule over the
@@ -162,12 +147,11 @@ func (a *arbiter) rebalance(f *Fleet, now time.Duration) EpochStats {
 		st.BacklogInstr[i] = c.backlogInstr
 		st.DemandInstr[i] = demand
 
-		// Chip i's rows depend only on (estEff, demand): skip the fill and
-		// the generation stamp when both are bit-identical to last epoch.
+		// Chip i's rows depend only on (estEff, demand): skip the fill when
+		// both are bit-identical to last epoch.
 		if !fresh && c.estEff == a.lastEff[i] && demand == a.lastDemand[i] {
 			continue
 		}
-		a.gens[i] = newGen
 		a.lastEff[i] = c.estEff
 		a.lastDemand[i] = demand
 		dirty++
@@ -180,9 +164,6 @@ func (a *arbiter) rebalance(f *Fleet, now time.Duration) EpochStats {
 			}
 			instr[i][j] = cap
 		}
-	}
-	if dirty > 0 {
-		a.gen = newGen
 	}
 	st.DirtyChips = dirty
 
@@ -201,9 +182,6 @@ func (a *arbiter) rebalance(f *Fleet, now time.Duration) EpochStats {
 			Instr:     instr,
 			FlatPower: a.powerFlat,
 			FlatInstr: a.instrFlat,
-			Gens:      a.gens,
-			Gen:       a.gen,
-			GenID:     a.genID,
 		}
 		v, _ := a.sess.Solve(inst, solver.Hint{Vector: a.lastVec, Instr: a.lastInstr})
 		a.lastVec = append(a.lastVec[:0], v...) // v aliases session scratch

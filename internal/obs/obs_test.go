@@ -340,32 +340,16 @@ func TestCountersSnapshot(t *testing.T) {
 			t.Errorf("counters table missing %q:\n%s", want, out)
 		}
 	}
-}
 
-// TestCountersTableDeltaRows checks the session/delta and invalidation rows
-// render exactly when their counters are live, and stay out of the table for
-// cold (sessionless) runs.
-func TestCountersTableDeltaRows(t *testing.T) {
+	// The session rows render exactly when a session counter is live, and
+	// stay out of the table for cold (sessionless) runs.
 	var o engine.ObsCounters
-	cold := CountersTable(o).String()
-	for _, absent := range []string{"delta-solves", "invalidate-budget-step"} {
-		if strings.Contains(cold, absent) {
-			t.Errorf("cold counters table unexpectedly has %q:\n%s", absent, cold)
-		}
+	if cold := CountersTable(o).String(); strings.Contains(cold, "solver-memo-hits") {
+		t.Errorf("cold counters table has session rows:\n%s", cold)
 	}
 	o.SolverMemoHits = 3
-	o.DirtyCores = 5
-	o.DeltaSolves = 4
-	o.DeltaCertified = 3
-	o.DeltaFallbacks = 1
-	o.InvalidateBudgetStep = 2
-	o.InvalidateCoreDeath = 1
-	out := CountersTable(o).String()
-	for _, want := range []string{
-		"solver-memo-hits", "delta-dirty-cores", "delta-solves", "delta-certified",
-		"delta-fallbacks", "invalidate-budget-step", "invalidate-core-death",
-		"invalidate-emergency", "invalidate-degraded",
-	} {
+	out = CountersTable(o).String()
+	for _, want := range []string{"warm-hints", "solver-memo-hits", "solver-warm-solves", "solver-hint-returns"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("counters table missing %q:\n%s", want, out)
 		}

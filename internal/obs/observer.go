@@ -276,21 +276,11 @@ func CountersTable(o engine.ObsCounters) *report.Table {
 	t.AddRowf("guard-overrides", o.GuardOverrides)
 	t.AddRowf("solver-nodes", o.SolverNodes)
 	t.AddRowf("trace-records", o.TraceRecords)
-	if o.SolverMemoHits != 0 || o.SolverWarmSolves != 0 || o.DeltaSolves != 0 {
+	if o.SolverMemoHits != 0 || o.SolverWarmSolves != 0 {
 		t.AddRowf("warm-hints", o.WarmHints)
 		t.AddRowf("solver-memo-hits", o.SolverMemoHits)
 		t.AddRowf("solver-warm-solves", o.SolverWarmSolves)
 		t.AddRowf("solver-hint-returns", o.SolverHintReturns)
-		t.AddRowf("delta-dirty-cores", o.DirtyCores)
-		t.AddRowf("delta-solves", o.DeltaSolves)
-		t.AddRowf("delta-certified", o.DeltaCertified)
-		t.AddRowf("delta-fallbacks", o.DeltaFallbacks)
-	}
-	if n := o.InvalidateBudgetStep + o.InvalidateCoreDeath + o.InvalidateEmergency + o.InvalidateDegraded; n > 0 {
-		t.AddRowf("invalidate-budget-step", o.InvalidateBudgetStep)
-		t.AddRowf("invalidate-core-death", o.InvalidateCoreDeath)
-		t.AddRowf("invalidate-emergency", o.InvalidateEmergency)
-		t.AddRowf("invalidate-degraded", o.InvalidateDegraded)
 	}
 	supervised := false
 	for _, n := range o.SupervisorRungs {

@@ -207,112 +207,3 @@ func BenchmarkSolverWarm(b *testing.B) {
 		}
 	})
 }
-
-// benchTracked hands BenchmarkSolverDelta a generation-tracked instance plus
-// an alternate instruction row per core (the original scaled ×1.01, argmax
-// and margins preserved), so the timed loops can dirty exactly one core per
-// iteration by swapping rows and stamping generations — the handshake a
-// predictor performs — without unbounded drift across b.N iterations.
-func benchTracked(n int, frac float64) (in Instance, orig, alt [][]float64) {
-	in = randInstance(int64(n), n, plan3(), frac)
-	testGenID++
-	in.GenID = testGenID
-	in.Gens = make([]uint64, n)
-	for c := range in.Gens {
-		in.Gens[c] = 1
-	}
-	in.Gen = 1
-	orig = in.Instr
-	alt = make([][]float64, n)
-	for c := range alt {
-		alt[c] = make([]float64, len(orig[c]))
-		for mo := range alt[c] {
-			alt[c][mo] = orig[c][mo] * 1.01
-		}
-	}
-	return in, orig, alt
-}
-
-// BenchmarkSolverDelta times the tentpole's three steady-state tiers at 1024
-// cores, all on generation-tracked instances at an ample budget (the argmax
-// regime, where one-core telemetry drift certifies):
-//
-//   - bb-gen-steady: bit-identical telemetry — the memo answers via the O(1)
-//     generation compare instead of the 1024×m flat compare (the sub-µs gate);
-//   - bb-warm-full: one dirty core per iteration but the delta path disabled
-//     (node-limited BB keeps anytime semantics and can't certify), so every
-//     iteration is the PR 8 behaviour — a memo miss into a warm-hinted full
-//     solve. This is the baseline the ≥10× delta gate divides against;
-//   - bb-delta: the same one-dirty-core sequence with the delta path live —
-//     patch, certify, commit. The closing assertion keeps the row honest:
-//     every iteration must certify, none may fall back.
-//
-// `make bench-check` gates the steady and delta rows on both allocs/op (0)
-// and ns/op ceilings.
-func BenchmarkSolverDelta(b *testing.B) {
-	for _, n := range []int{64, 256, 1024} {
-		n := n
-		b.Run(fmt.Sprintf("bb-gen-steady/cores=%d", n), func(b *testing.B) {
-			in, _, _ := benchTracked(n, 0.8)
-			ses := NewSession(&BB{NodeLimit: 1 << 21})
-			defer ses.Close()
-			v, _ := ses.Solve(in, Hint{})
-			hint := Hint{Vector: v.Clone()}
-			ses.Solve(in, hint)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ses.Solve(in, hint)
-			}
-			b.StopTimer()
-			if st := ses.Stats(); st.MemoHits < int64(b.N) {
-				b.Fatalf("gen-steady row missed the memo: %+v", st)
-			}
-		})
-		b.Run(fmt.Sprintf("bb-warm-full/cores=%d", n), func(b *testing.B) {
-			in, orig, alt := benchTracked(n, 1.25)
-			ses := NewSession(&BB{NodeLimit: 1 << 21}) // NodeLimit: delta path off
-			defer ses.Close()
-			v, _ := ses.Solve(in, Hint{})
-			hint := Hint{Vector: v.Clone()}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c := i % n
-				if &in.Instr[c][0] == &orig[c][0] {
-					in.Instr[c] = alt[c]
-				} else {
-					in.Instr[c] = orig[c]
-				}
-				in.Gens[c]++
-				in.Gen++
-				v, _ = ses.Solve(in, hint)
-				copy(hint.Vector, v)
-			}
-			b.StopTimer()
-			if st := ses.Stats(); st.DeltaSolves != 0 || st.MemoHits != 0 {
-				b.Fatalf("warm-full row used a fast path: %+v", st)
-			}
-		})
-		b.Run(fmt.Sprintf("bb-delta/cores=%d", n), func(b *testing.B) {
-			in, orig, alt := benchTracked(n, 1.25)
-			ses := NewSession(&BB{})
-			defer ses.Close()
-			ses.Solve(in, Hint{})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c := i % n
-				if &in.Instr[c][0] == &orig[c][0] {
-					in.Instr[c] = alt[c]
-				} else {
-					in.Instr[c] = orig[c]
-				}
-				in.Gens[c]++
-				in.Gen++
-				ses.Solve(in, Hint{})
-			}
-			b.StopTimer()
-			if st := ses.Stats(); st.DeltaCertified < int64(b.N) || st.DeltaFallbacks != 0 {
-				b.Fatalf("delta row did not certify every iteration: %+v", st)
-			}
-		})
-	}
-}

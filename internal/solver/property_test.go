@@ -79,7 +79,7 @@ func TestSolverOrderingProperty(t *testing.T) {
 func TestHierQualityProperty(t *testing.T) {
 	for seed := 0; seed < 20; seed++ {
 		n := 8 + (seed%3)*4
-		in := randInstance(int64(seed + 500), n, plan3(), 0.5+0.05*float64(seed%10))
+		in := randInstance(int64(seed+500), n, plan3(), 0.5+0.05*float64(seed%10))
 		hV, _ := (&Hier{ClusterSize: 4}).Solve(in)
 		grV, _ := Greedy{}.Solve(in)
 		if in.VectorPower(in.deepestVector()) <= in.BudgetW {

@@ -36,17 +36,8 @@ type SessionStats struct {
 	// HintReturns counts aborted solves whose returned vector was the
 	// (strictly better) warm hint rather than the solver's own incumbent.
 	HintReturns int64
-	// DirtyCores accumulates the size of the generation-handshake dirty set
-	// over solves that reached the delta path's dirty scan.
-	DirtyCores int64
-	// DeltaSolves counts solves that attempted the incremental re-solve
-	// (K dirty cores patched against the residual budget); DeltaCertified
-	// counts the attempts whose patched vector passed the uniqueness
-	// certificate and was returned as the proven optimum, DeltaFallbacks the
-	// attempts that demoted the patch to a warm hint and ran the full solve.
-	DeltaSolves    int64
+	// Deprecated: always 0 since the delta path was removed; read by perfbench.
 	DeltaCertified int64
-	DeltaFallbacks int64
 	// Nodes and Pruned accumulate the underlying solver's search-node and
 	// pruned-subtree counts across solves (memo hits contribute zero), so
 	// Nodes here vs a cold baseline is the "nodes saved" measure and
@@ -94,19 +85,11 @@ type Session struct {
 	memo     [2]memoEntry
 	memoNext int
 
-	// deltaOK enables the incremental re-solve path: exact unbounded BB only
-	// (no NodeLimit, no session deadline), since the uniqueness certificate
-	// proves what a *completed* exact solve would return.
-	deltaOK bool
-	// deltaVec/deltaDirty are the delta path's reusable patch buffers.
-	deltaVec   modes.Vector
-	deltaDirty []int
 	// lastStable reports that re-solving the last instance (bit-identical
 	// matrices, budget and hint) would return the bit-identical vector and
-	// leave the session's result-affecting state unchanged: a memo hit or
-	// certified delta trivially, a completed solve otherwise — except a
-	// share-smoothing Hier, which additionally needs its share fixpoint
-	// (hierState.sharesStable).
+	// leave the session's result-affecting state unchanged: a memo hit
+	// trivially, a completed solve otherwise — except a share-smoothing
+	// Hier, which additionally needs its share fixpoint (hierState.sharesStable).
 	lastStable bool
 
 	gs   greedyScratch
@@ -125,26 +108,6 @@ type memoEntry struct {
 	power, instr []float64 // row-major n×m copies
 	vec          modes.Vector
 	stats        Stats
-
-	// Generation handshake snapshot (Instance.GenID != 0 at memoPut time):
-	// genID/gen identify the matrix backing and its generation, gens the
-	// per-core stamps. A tracked hit is then an O(1) generation compare
-	// instead of the O(n·m) flat compare, and a generation mismatch yields
-	// the dirty-core set in O(n).
-	genID, gen uint64
-	gens       []uint64
-
-	// Incremental certificate state (deltaOK sessions): per-core Instr
-	// argmax, its margin over the runner-up (+Inf for single-mode plans),
-	// the row's max |Instr| (for the float-drift guard), and the count of
-	// cores where vec disagrees with amax. certOK marks the state consistent
-	// with vec/power/instr — an uncertified patch attempt leaves the arrays
-	// half-updated and clears it.
-	certOK   bool
-	amax     modes.Vector
-	margin   []float64
-	rowMax   []float64
-	mismatch int
 }
 
 // NewSession builds a stateful solving session over s. Deadline wrappers are
@@ -173,10 +136,7 @@ func NewSession(s Solver) *Session {
 	case *Hier:
 		ses.hier = &hierState{}
 		ses.memoOK = b.Alpha == 0
-	case *BB:
-		ses.memoOK = true
-		ses.deltaOK = b.NodeLimit == 0 && ses.wall == 0 && ses.nodeBudget == 0
-	case *DP, *Exhaustive, Greedy:
+	case *BB, *DP, *Exhaustive, Greedy:
 		ses.memoOK = true
 	}
 	return ses
@@ -185,17 +145,13 @@ func NewSession(s Solver) *Session {
 // Stats returns the session's cumulative counters.
 func (s *Session) Stats() SessionStats { return s.stats }
 
-// Invalidate drops the session's instance memo — and with it the delta
-// re-solve state — forcing the next solve down the full path. The engine
-// loop calls it on decision discontinuities (budget steps, core death,
-// emergency throttles, supervisor degradation): cached entries stay *sound*
-// across those events (they only ever answer bit-identical instances), but
-// dropping them keeps the delta path from patching across a regime change
-// the caller has declared meaningless to bridge.
+// Invalidate drops the session's instance memo and stability flag, forcing
+// the next solve down the full path. The memo only ever answers
+// bit-identical instances with the vector a full solve would return, so
+// invalidating never changes a result — only what the next solve costs.
 func (s *Session) Invalidate() {
 	for i := range s.memo {
 		s.memo[i].ok = false
-		s.memo[i].certOK = false
 	}
 	s.lastStable = false
 }
@@ -262,16 +218,6 @@ func (s *Session) solveBounded(in Instance, h Hint, cp *Checkpoint) (modes.Vecto
 			s.stats.MemoHits++
 			s.lastStable = true
 			return v, st
-		}
-		// Incremental re-solve: with a tracked instance whose generation
-		// moved, patch the memoized optimum on the dirty cores and certify.
-		// Only without an external checkpoint — the certificate proves what a
-		// *completed* solve returns, so anytime budgets must bypass it.
-		if s.deltaOK && cp == nil {
-			if v, st, ok := s.tryDelta(in, &h); ok {
-				s.lastStable = true
-				return v, st
-			}
 		}
 	}
 	warm := usableHint(in, h)
@@ -377,32 +323,15 @@ func finiteInstance(in Instance) bool {
 
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
-// tracked reports that the instance carries a usable generation handshake.
-func tracked(in Instance, n int) bool {
-	return in.GenID != 0 && len(in.Gens) == n
-}
-
 // memoGet returns the cached result of a bitwise-identical instance. Stats
 // are returned with Nodes/Pruned zeroed — a hit does no search — so the
-// "nodes saved" accounting stays honest. Tracked instances (generation
-// handshake present, same backing as the entry) are answered by an O(1)
-// generation compare; everything else falls back to the flat compare.
+// "nodes saved" accounting stays honest.
 func (s *Session) memoGet(in Instance) (modes.Vector, Stats, bool) {
 	n, m := in.NumCores(), in.NumModes()
-	isTracked := tracked(in, n)
 	for i := range s.memo {
 		e := &s.memo[i]
-		if !e.ok || e.n != n || e.m != m || e.budget != in.BudgetW {
-			continue
-		}
-		if isTracked && e.genID == in.GenID {
-			// Same backing: equal generation ⇔ bit-identical matrices (the
-			// handshake contract — MatricesInto bumps the generation on any
-			// row change and nothing else mutates the backing).
-			if e.gen != in.Gen {
-				continue
-			}
-		} else if !matricesEqual(in, e.power, e.instr, m) {
+		if !e.ok || e.n != n || e.m != m || e.budget != in.BudgetW ||
+			!matricesEqual(in, e.power, e.instr, m) {
 			continue
 		}
 		st := e.stats
@@ -426,254 +355,6 @@ func (s *Session) memoPut(in Instance, v modes.Vector, st Stats) {
 	e.instr = copyMatrix(e.instr[:0], in.Instr, in.FlatInstr, n*m)
 	e.vec = append(e.vec[:0], v...)
 	e.stats = st
-	e.genID, e.gen = 0, 0
-	e.certOK = false
-	if tracked(in, n) {
-		e.genID, e.gen = in.GenID, in.Gen
-		e.gens = append(e.gens[:0], in.Gens...)
-		if s.deltaOK && st.Exact {
-			s.buildCert(e)
-		}
-	}
-}
-
-// buildCert computes the entry's per-core argmax/margin state from its
-// row-major matrix copies: the λ=0 water level of the uniqueness certificate
-// (see tryDelta). O(n·m), paid once per full solve.
-func (s *Session) buildCert(e *memoEntry) {
-	n, m := e.n, e.m
-	e.amax = resizeVector(e.amax, n)
-	e.margin = resizeFloats(e.margin, n)
-	e.rowMax = resizeFloats(e.rowMax, n)
-	e.mismatch = 0
-	for c := 0; c < n; c++ {
-		row := e.instr[c*m : (c+1)*m]
-		certRow(row, c, e)
-		if e.vec[c] != e.amax[c] {
-			e.mismatch++
-		}
-	}
-	e.certOK = true
-}
-
-// certRow fills core c's certificate state from its Instr row: the strict
-// argmax (first index attaining the max), the margin over the runner-up
-// (+Inf for single-mode plans, 0 on an exact tie — which voids the
-// certificate via the margin guard), and the row's max |Instr| for the
-// float-drift guard.
-func certRow(row []float64, c int, e *memoEntry) {
-	best, second := row[0], math.Inf(-1)
-	bm := 0
-	abs := math.Abs(row[0])
-	for j := 1; j < len(row); j++ {
-		x := row[j]
-		if a := math.Abs(x); a > abs {
-			abs = a
-		}
-		if x > best {
-			second = best
-			best, bm = x, j
-		} else if x > second {
-			second = x
-		}
-	}
-	e.amax[c] = modes.Mode(bm)
-	if len(row) == 1 {
-		e.margin[c] = math.Inf(1)
-	} else {
-		e.margin[c] = best - second
-	}
-	e.rowMax[c] = abs
-}
-
-// maxDeltaDirty bounds the dirty-core count the incremental path will patch;
-// beyond it a full warm solve is cheaper than certifying. deltaComboCap
-// bounds the residual-budget enumeration (modes^dirty).
-const (
-	maxDeltaDirty = 4
-	deltaComboCap = 4096
-)
-
-// tryDelta is the incremental re-solve: when a tracked instance differs from
-// a memoized optimum on K ≤ maxDeltaDirty cores at the same budget, re-solve
-// just the dirty cores against the residual budget (clean cores keep their
-// previous modes) and certify the patched vector as the full instance's
-// unique optimum:
-//
-//	For every core c let amax[c] = argmax_j Instr[c][j] with strict margin
-//	margin[c] > 0. If patch[c] == amax[c] for all c and the patch is
-//	feasible (canonical VectorPower ≤ BudgetW), then for any other vector y
-//	(feasible or not) T(y) ≤ T(patch) − min margin in real arithmetic; when
-//	min margin also exceeds the accumulated float-summation drift bound
-//	(guard below), T_float(y) < T_float(patch) strictly, so the patch is the
-//	UNIQUE throughput optimum and every exact solver — either tie mode —
-//	returns exactly it.
-//
-// A certified patch is returned as the proven cold answer and the memo entry
-// is advanced in place (vec, dirty rows, generations) — steady-state cost
-// O(n + K·m) with zero allocations. An uncertified patch demotes to a warm
-// hint for the full solve (a pruning-floor-only hint can never change the
-// result), and the half-updated certificate state is dropped.
-func (s *Session) tryDelta(in Instance, h *Hint) (modes.Vector, Stats, bool) {
-	n, m := in.NumCores(), in.NumModes()
-	if !tracked(in, n) || n == 0 {
-		return nil, Stats{}, false
-	}
-	// Most recent tracked entry for this backing at this exact budget.
-	var e *memoEntry
-	for i := range s.memo {
-		c := &s.memo[i]
-		if c.ok && c.certOK && c.genID == in.GenID && c.n == n && c.m == m &&
-			c.budget == in.BudgetW && c.stats.Exact && (e == nil || c.gen > e.gen) {
-			e = c
-		}
-	}
-	if e == nil {
-		return nil, Stats{}, false
-	}
-	dirty := s.deltaDirty[:0]
-	total := 0
-	for c := 0; c < n; c++ {
-		if e.gens[c] != in.Gens[c] {
-			total++
-			if total <= maxDeltaDirty {
-				dirty = append(dirty, c)
-			}
-		}
-	}
-	s.deltaDirty = dirty
-	s.stats.DirtyCores += int64(total)
-	if total == 0 || total > maxDeltaDirty {
-		return nil, Stats{}, false
-	}
-	combos := 1
-	for range dirty {
-		combos *= m
-		if combos > deltaComboCap {
-			return nil, Stats{}, false
-		}
-	}
-	s.stats.DeltaSolves++
-
-	// Patch = previous optimum with the dirty cores re-solved against the
-	// residual budget, enumerated in lexicographic order under the kernel's
-	// strict improvement rule (per-subset sums; the certificate re-scores the
-	// final vector canonically, so this ordering only shapes the fallback
-	// hint, never a certified result).
-	s.deltaVec = resizeVector(s.deltaVec, n)
-	patch := s.deltaVec
-	copy(patch, e.vec)
-	// residual = budget − Σ clean cores' power at their kept modes.
-	residual := in.BudgetW
-	for c := 0; c < n; c++ {
-		residual -= in.Power[c][patch[c]]
-	}
-	for _, c := range dirty {
-		residual += in.Power[c][patch[c]]
-	}
-	bestT, bestP := math.Inf(-1), math.Inf(1)
-	found := false
-	for ci := 0; ci < combos; ci++ {
-		var p, t float64
-		rem := ci
-		for k := len(dirty) - 1; k >= 0; k-- {
-			mo := rem % m
-			rem /= m
-			c := dirty[k]
-			p += in.Power[c][mo]
-			t += in.Instr[c][mo]
-		}
-		if p > residual {
-			continue
-		}
-		if !found || better(t, p, bestT, bestP) {
-			found = true
-			bestT, bestP = t, p
-			rem = ci
-			for k := len(dirty) - 1; k >= 0; k-- {
-				patch[dirty[k]] = modes.Mode(rem % m)
-				rem /= m
-			}
-		}
-	}
-
-	// Advance the certificate state over the dirty rows (margins, argmax,
-	// row maxima, mismatch count) — O(K·m).
-	for _, c := range dirty {
-		if e.vec[c] != e.amax[c] {
-			e.mismatch--
-		}
-		certRow(in.Instr[c], c, e)
-		if found && patch[c] == e.amax[c] {
-			// patched to the water level: no mismatch
-		} else {
-			e.mismatch++
-		}
-	}
-
-	certified := found && e.mismatch == 0
-	var pp float64
-	if certified || found {
-		pp = in.VectorPower(patch)
-	}
-	if certified && pp > in.BudgetW {
-		certified = false
-	}
-	if certified {
-		// Margin guard: min strict margin must exceed the worst-case float
-		// summation drift between any two canonical-order sums, so the
-		// real-arithmetic strict ordering survives rounding. n·ε·Σ|rowMax|
-		// bounds the drift; 1e-9 is ~6 decimal orders more conservative.
-		minMargin, absSum := math.Inf(1), 0.0
-		for c := 0; c < n; c++ {
-			if e.margin[c] < minMargin {
-				minMargin = e.margin[c]
-			}
-			absSum += e.rowMax[c]
-		}
-		if !(minMargin > 1e-9*(1+absSum)) {
-			certified = false
-		}
-	}
-
-	if certified {
-		// Commit: the entry now memoizes the patched instance at its new
-		// generation. Copy the dirty rows; everything else is unchanged.
-		for _, c := range dirty {
-			copy(e.power[c*m:(c+1)*m], in.Power[c])
-			copy(e.instr[c*m:(c+1)*m], in.Instr[c])
-			e.gens[c] = in.Gens[c]
-		}
-		e.gen = in.Gen
-		copy(e.vec, patch)
-		s.stats.DeltaCertified++
-		st := e.stats
-		st.Nodes, st.Pruned = 0, 0
-		st.Elapsed = 0
-		return e.vec, st, true
-	}
-
-	// Fallback: certificate void. The entry's certificate arrays no longer
-	// match its rows — drop them; the following full solve re-memoizes.
-	e.certOK = false
-	s.stats.DeltaFallbacks++
-	if found && pp <= in.BudgetW {
-		// The feasible patch is a (often excellent) warm hint; use it when it
-		// beats the caller's hint. Hints only tighten the pruning floor, so
-		// this cannot change the full solve's result.
-		pt := in.VectorInstr(patch)
-		use := true
-		if usableHint(in, *h) {
-			if hp := in.VectorPower(h.Vector); hp <= in.BudgetW {
-				use = better(pt, pp, in.VectorInstr(h.Vector), hp)
-			}
-		}
-		if use {
-			h.Vector = patch
-			h.Instr = pt
-		}
-	}
-	return nil, Stats{}, false
 }
 
 // matricesEqual compares the instance's matrices against a stored row-major

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"gpm/internal/modes"
 )
@@ -91,11 +92,11 @@ func TestWarmVsColdGarbageHints(t *testing.T) {
 	want, _ := cold.Solve(in)
 	bad := []Hint{
 		{},
-		{Vector: modes.Vector{0, 1}},                                     // wrong width
-		{Vector: modes.Uniform(10, modes.Mode(99))},                      // mode out of range
-		{Vector: modes.Uniform(10, modes.Turbo), Instr: math.Inf(1)},     // infeasible (all-Turbo over budget)
-		{Vector: modes.Uniform(10, modes.Mode(in.NumModes() - 1))},       // feasible but weak
-		{Vector: append(modes.Vector(nil), want...), Instr: math.NaN()},  // the optimum itself
+		{Vector: modes.Vector{0, 1}}, // wrong width
+		{Vector: modes.Uniform(10, modes.Mode(99))},                     // mode out of range
+		{Vector: modes.Uniform(10, modes.Turbo), Instr: math.Inf(1)},    // infeasible (all-Turbo over budget)
+		{Vector: modes.Uniform(10, modes.Mode(in.NumModes()-1))},        // feasible but weak
+		{Vector: append(modes.Vector(nil), want...), Instr: math.NaN()}, // the optimum itself
 	}
 	for i, h := range bad {
 		ses := NewSession(&BB{})
@@ -181,6 +182,31 @@ func TestSessionMemo(t *testing.T) {
 	ses.Solve(inB, Hint{})
 	if got := ses.Stats().MemoHits - before; got != 2 {
 		t.Fatalf("alternating instances: %d memo hits, want 2", got)
+	}
+}
+
+// TestSessionInvalidate pins Invalidate: it drops the memo and the
+// stability flag, and the next solve of the same instance runs the full
+// search and returns the same vector.
+func TestSessionInvalidate(t *testing.T) {
+	ses := NewSession(&BB{})
+	defer ses.Close()
+	in := randInstance(26, 12, plan3(), 1.25)
+	v0, _ := ses.Solve(in, Hint{})
+	first := v0.Clone()
+	if !ses.ResultStable() {
+		t.Fatal("completed solve should be stable")
+	}
+	ses.Invalidate()
+	if ses.ResultStable() {
+		t.Fatal("Invalidate left the session stable")
+	}
+	v1, st := ses.Solve(in, Hint{Vector: first})
+	if !v1.Equal(first) {
+		t.Fatalf("post-invalidate solve %v != first solve %v", v1, first)
+	}
+	if st.Nodes == 0 || ses.Stats().MemoHits != 0 {
+		t.Fatalf("Invalidate did not drop the memo: nodes %d, %+v", st.Nodes, ses.Stats())
 	}
 }
 
@@ -392,4 +418,78 @@ func TestOptionsValidate(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSessionMemoDeadlineRace is the regression for the own-abort
+// accounting fix: when a wall deadline fires between memoGet and solve
+// completion — including inside Hier's concurrent per-cluster goroutines,
+// which this test races under -race — the partial incumbent must never be
+// memoized or reported exact. Whenever a solve does complete (or hit the
+// memo), its vector must equal the cold optimum.
+func TestSessionMemoDeadlineRace(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mk   func() Solver
+		cold Solver
+		n    int
+	}{
+		{"bb", func() Solver { return &Deadline{Inner: &BB{}, Wall: 30 * time.Microsecond} }, &BB{}, 48},
+		{"hier", func() Solver { return &Deadline{Inner: &Hier{ClusterSize: 4}, Wall: 30 * time.Microsecond} }, &Hier{ClusterSize: 4}, 48},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ins := []Instance{
+				randInstance(61, c.n, plan3(), 0.6),
+				randInstance(62, c.n, plan3(), 0.8),
+			}
+			wants := make([]modes.Vector, len(ins))
+			for i := range ins {
+				v, _ := c.cold.Solve(ins[i])
+				wants[i] = v.Clone()
+			}
+			ses := NewSession(c.mk())
+			defer ses.Close()
+			for iter := 0; iter < 60; iter++ {
+				i := iter % len(ins)
+				prevHits := ses.Stats().MemoHits
+				v, st := ses.Solve(ins[i], Hint{})
+				fromMemo := ses.Stats().MemoHits > prevHits
+				if st.Aborted {
+					if fromMemo {
+						t.Fatalf("iter %d: memo returned an aborted result", iter)
+					}
+					if st.Exact {
+						t.Fatalf("iter %d: aborted solve claimed exactness", iter)
+					}
+					continue
+				}
+				// Completed (or memoized) solves must be the cold optimum; a
+				// poisoned memo entry — the pre-fix bug, where a checkpoint
+				// trip inside greedy/heap seeding went unreported and the
+				// partial vector was cached — fails here on the next hit.
+				if !v.Equal(wants[i]) {
+					t.Fatalf("iter %d (memo=%v): completed solve %v != cold %v", iter, fromMemo, v, wants[i])
+				}
+			}
+		})
+	}
+
+	// Node budgets abort deterministically: the same bounded solve twice must
+	// return identical vectors, and neither may populate the memo.
+	t.Run("node budget determinism", func(t *testing.T) {
+		in := randInstance(63, 32, plan3(), 0.7)
+		ses := NewSession(&Deadline{Inner: &BB{}, Nodes: 64})
+		defer ses.Close()
+		v1, st1 := ses.Solve(in, Hint{})
+		first := v1.Clone()
+		v2, st2 := ses.Solve(in, Hint{})
+		if !st1.Aborted || !st2.Aborted {
+			t.Fatalf("64-node budget did not abort a 32-core solve (%v, %v)", st1.Aborted, st2.Aborted)
+		}
+		if !v2.Equal(first) {
+			t.Fatalf("node-budget aborts not deterministic: %v != %v", v2, first)
+		}
+		if ss := ses.Stats(); ss.MemoHits != 0 {
+			t.Fatalf("aborted solves hit the memo: %+v", ss)
+		}
+	})
 }

@@ -57,18 +57,6 @@ type Instance struct {
 	// (core.Matrices.Flat provides it).
 	FlatPower []float64
 	FlatInstr []float64
-	// Gens/Gen/GenID, when GenID != 0, are the predictor change-detection
-	// handshake (core.Matrices.Generations): GenID identifies the matrix
-	// backing, Gen is its current generation, and Gens[c] is the generation
-	// at which core c's rows last changed. Like the flat aliases they are
-	// optional and never consulted for scoring — Sessions use them to turn
-	// the memo comparison into an O(1) generation check and to learn the
-	// dirty-core set for incremental re-solves. Callers that set them are
-	// responsible for the invariant that two instances with equal GenID and
-	// Gen have bit-identical matrices.
-	Gens  []uint64
-	Gen   uint64
-	GenID uint64
 }
 
 // NumCores returns the decision width.
