@@ -79,7 +79,7 @@ bench-check:
 # engine.
 golden:
 	$(GO) test -count=1 -run 'TestGolden|TestCounterfactualSelfIdentity' ./internal/cmpsim
-	$(GO) test -count=1 -run 'TestRunPolicyGoldenBitIdentical|TestCrossSubstrate|TestGoldenCalibrationReport|TestGoldenRegretTable' ./internal/experiment
+	$(GO) test -count=1 -run 'TestRunPolicyGoldenBitIdentical|TestRunPolicyGoldenHierarchical|TestCrossSubstrate|TestGoldenCalibrationReport|TestGoldenRegretTable' ./internal/experiment
 	$(GO) test -count=1 -run 'TestCounterfactualSelfIdentity' ./internal/fullsim
 
 # Seeded deterministic chaos soak: randomized fault schedules against the
