@@ -53,15 +53,14 @@ import (
 var (
 	flagQuick   = flag.Bool("quick", false, "reduced horizon (15 ms) and budget grid for fast runs")
 	flagCSV     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	flagPolicy  = flag.String("policy", "maxbips", "policy for 'run': maxbips|greedy|priority|pullhipushlo|chipwide|oracle|stable|fairness|hierarchical|maxbips-dp|maxbips-bb|maxbips-hier")
+	flagPolicy  = flag.String("policy", "maxbips", "policy for 'run': maxbips|greedy|priority|pullhipushlo|chipwide|oracle|stable|fairness|hierarchical|maxbips-bb|maxbips-hier")
 	flagCombo   = flag.String("combo", "4w-ammp-mcf-crafty-art", "workload combo ID for 'run' (see Table 2 IDs)")
 	flagBudget  = flag.Float64("budget", 0.80, "budget fraction of max chip power for 'run'")
 	flagHorizon = flag.Duration("horizon", 0, "override simulation horizon (e.g. 20ms)")
 	flagFault   = flag.String("fault", "", "fault scenario for 'run'/'resilience', e.g. \"seed=7,noise=0.05,stuck=1:0.5:2ms,death=3:8ms\" (see internal/fault.ParseScenario)")
 	flagGuard   = flag.Bool("guard", false, "guard 'run' with the ResilientManager (sanitization, emergency throttle, core parking)")
-	flagSolver  = flag.String("solver", "", "allocation solver for 'run'/'scaling': exhaustive|dp|bb|hier|greedy (for 'run', overrides -policy with the policy that runs it: maxbips, maxbips-dp, maxbips-bb, maxbips-hier or greedy)")
+	flagSolver  = flag.String("solver", "", "allocation solver for 'run'/'scaling': exhaustive|bb|hier|greedy (for 'run', overrides -policy with the policy that runs it: maxbips, maxbips-bb, maxbips-hier or greedy)")
 	flagCluster = flag.Int("clusters", 0, "hierarchical solver cluster size (0 = default 8)")
-	flagQuantum = flag.Float64("quantum", 0, "DP power quantum in watts (0 = adaptive default)")
 	flagTrace   = flag.String("trace", "", "record the decision trace of 'run' to this JSONL file (for 'xcheck': record a <name>.cmpsim.jsonl/<name>.fullsim.jsonl pair)")
 	flagWorkers = flag.Int("workers", 0, "worker-pool size for parallel sweeps and fullsim stepping (0 = GOMAXPROCS, 1 = serial; results are identical for every value)")
 	flagPprof   = flag.String("pprof", "", "write a CPU profile of the whole invocation to this file")
@@ -69,7 +68,7 @@ var (
 	flagSeed      = flag.Int64("seed", 1, "base PRNG seed for 'chaos' fault schedules")
 	flagRuns      = flag.Int("runs", 2, "randomized fault schedules per policy×budget cell for 'chaos'")
 	flagIntervals = flag.Int("intervals", 0, "explore intervals per 'chaos' run (0 = default 25)")
-	flagDeadline  = flag.Duration("deadline", 0, "per-decision wall-clock deadline for 'chaos' (0 = deterministic node-budget mode; >0 arms the watchdog and injected solver stalls, disabling the bit-identical-rerun monitor)")
+	flagDeadline  = flag.Duration("deadline", 0, "per-decision wall-clock deadline for 'chaos' (0 = no watchdog, so reruns must be bit-identical; >0 arms the watchdog and injected solver stalls, disabling the bit-identical-rerun monitor)")
 	flagFullsim   = flag.Bool("fullsim", false, "also soak the cycle-level substrate in 'chaos'")
 )
 
@@ -524,9 +523,9 @@ func minpower(env *experiment.Env) error {
 	return nil
 }
 
-// solverOpts collects the -clusters/-quantum knobs for solver-backed runs.
+// solverOpts collects the -clusters knob for solver-backed runs.
 func solverOpts() solver.Options {
-	return solver.Options{QuantumW: *flagQuantum, ClusterSize: *flagCluster}
+	return solver.Options{ClusterSize: *flagCluster}
 }
 
 func custom(env *experiment.Env) error {
@@ -539,7 +538,7 @@ func custom(env *experiment.Env) error {
 		name = "maxbips"
 	case "greedy":
 		name = "greedy"
-	case "dp", "bb", "hier":
+	case "bb", "hier":
 		name = "maxbips-" + s
 	default:
 		return fmt.Errorf("unknown solver %q (want %s)", s, strings.Join(solver.Names(), "|"))
@@ -824,10 +823,7 @@ func solverScaling(env *experiment.Env) error {
 	if *flagQuick {
 		widths = []int{8, 16, 64}
 	}
-	opts := experiment.SolverScalingOptions{
-		QuantumW:    *flagQuantum,
-		ClusterSize: *flagCluster,
-	}
+	opts := experiment.SolverScalingOptions{ClusterSize: *flagCluster}
 	if *flagSolver != "" {
 		opts.Solvers = strings.Split(strings.ToLower(*flagSolver), ",")
 	}
@@ -836,18 +832,14 @@ func solverScaling(env *experiment.Env) error {
 		return err
 	}
 	t := report.NewTable(fmt.Sprintf("Ablation A9: mode-allocation solvers at %.0f%% budget", *flagBudget*100),
-		"cores", "solver", "quality", "vs", "exact", "gap bound", "nodes", "wall clock")
+		"cores", "solver", "quality", "vs", "exact", "nodes", "wall clock")
 	for _, r := range rows {
 		exact := "no"
 		if r.Exact {
 			exact = "yes"
 		}
-		gap := "-"
-		if r.GapBound > 0 {
-			gap = report.Pct(r.GapBound)
-		}
 		t.AddRow(fmt.Sprintf("%d", r.Cores), r.Solver, fmt.Sprintf("%.4f", r.Quality), r.Reference,
-			exact, gap, fmt.Sprintf("%d", r.Nodes), r.Wall.Round(time.Microsecond).String())
+			exact, fmt.Sprintf("%d", r.Nodes), r.Wall.Round(time.Microsecond).String())
 	}
 	emit(t)
 	return nil

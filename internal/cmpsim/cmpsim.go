@@ -218,8 +218,8 @@ func build(lib *trace.Library, combo workload.Combo, opt Options) (engine.Substr
 		// Under a supervisor deadline the solver itself becomes bounded: half
 		// the supervisor's wall budget, so a cooperative abort normally lands
 		// before the watchdog has to abandon the goroutine.
-		if s := opt.Supervisor; s != nil && (s.Deadline > 0 || s.NodeBudget > 0) {
-			sol = solver.WithDeadline(sol, s.Deadline/2, s.NodeBudget)
+		if s := opt.Supervisor; s != nil && s.Deadline > 0 {
+			sol = solver.WithDeadline(sol, s.Deadline/2, 0)
 		}
 		// Session-capable: the engine loop adopting this policy creates a
 		// warm-start solver session and owns its lifecycle. Result-invariant

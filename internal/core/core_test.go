@@ -374,7 +374,7 @@ func TestRegistry(t *testing.T) {
 	}
 	// Every maxbips-<solver> name is a fresh session-capable policy, and the
 	// exhaustive kernel has no second name beside maxbips.
-	for _, name := range []string{"maxbips-dp", "maxbips-bb", "maxbips-hier"} {
+	for _, name := range []string{"maxbips-bb", "maxbips-hier"} {
 		p, err := Registry(name)
 		if err != nil {
 			t.Fatalf("Registry(%s): %v", name, err)
@@ -384,8 +384,10 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("Registry(%s) = %T, want a fresh *SolverPolicy per call", name, p)
 		}
 	}
-	if _, err := Registry("maxbips-sharded"); err == nil {
-		t.Error("maxbips-sharded still registered")
+	for _, gone := range []string{"maxbips-sharded", "maxbips-dp"} {
+		if _, err := Registry(gone); err == nil {
+			t.Errorf("%s still registered", gone)
+		}
 	}
 }
 

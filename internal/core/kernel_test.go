@@ -94,9 +94,9 @@ func TestSolverPoliciesMatchExhaustiveKernel(t *testing.T) {
 				t.Fatalf("%s at %.0f%%: %v, want kernel's %v", name, frac*100, got, want)
 			}
 		}
-		// DP and hier are approximate but must stay feasible and close.
+		// Hier is approximate but must stay feasible and close.
 		wantT := mx.VectorInstr(want)
-		for _, name := range []string{"maxbips-dp", "maxbips-hier"} {
+		for _, name := range []string{"maxbips-hier"} {
 			pol, err := Registry(name)
 			if err != nil {
 				t.Fatal(err)

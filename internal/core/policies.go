@@ -299,15 +299,15 @@ func (p MinPower) Decide(ctx Context) modes.Vector {
 }
 
 // Registry returns the named policy, for CLI use. Fixed and MinPower carry
-// parameters and are constructed directly instead. The maxbips-dp,
-// maxbips-bb and maxbips-hier names bind the internal/solver allocation
-// solvers; use SolverRegistry to parameterize them.
+// parameters and are constructed directly instead. The maxbips-bb and
+// maxbips-hier names bind the internal/solver allocation solvers; use
+// SolverRegistry to parameterize them.
 func Registry(name string) (Policy, error) {
 	return SolverRegistry(name, solver.Options{})
 }
 
-// SolverRegistry is Registry with solver parameters (DP quantum, hierarchy
-// cluster size, worker and node caps). A maxbips-<solver> name returns a
+// SolverRegistry is Registry with solver parameters (hierarchy cluster
+// size, worker and node caps). A maxbips-<solver> name returns a
 // fresh session-capable *SolverPolicy (NewSolverPolicy): the engine loop
 // that adopts it warm-starts every decision, so each run needs its own.
 // The exhaustive and greedy kernels are MaxBIPS ("maxbips") and
@@ -331,14 +331,14 @@ func SolverRegistry(name string, opt solver.Options) (Policy, error) {
 	case "fairness":
 		return Fairness{}, nil
 	case "hierarchical":
-		return Hierarchical{}, nil
-	case "maxbips-dp", "maxbips-bb", "maxbips-hier":
+		return NewHierarchical(0), nil
+	case "maxbips-bb", "maxbips-hier":
 		s, err := solver.New(strings.TrimPrefix(name, "maxbips-"), opt)
 		if err != nil {
 			return nil, err
 		}
 		return NewSolverPolicy(s), nil
 	default:
-		return nil, fmt.Errorf("core: unknown policy %q (want maxbips|greedy|priority|pullhipushlo|chipwide|oracle|stable|fairness|hierarchical|maxbips-dp|maxbips-bb|maxbips-hier)", name)
+		return nil, fmt.Errorf("core: unknown policy %q (want maxbips|greedy|priority|pullhipushlo|chipwide|oracle|stable|fairness|hierarchical|maxbips-bb|maxbips-hier)", name)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"gpm/internal/modes"
+	"gpm/internal/solver"
 )
 
 // StableMaxBIPS is MaxBIPS with switching hysteresis. Interval-to-interval
@@ -96,101 +97,27 @@ func (Fairness) Decide(ctx Context) modes.Vector {
 	return best
 }
 
-// Hierarchical is the two-level structure §2 sketches: the global level
-// allocates the chip budget across fixed clusters using the cheap greedy
-// marginal-utility pass (GreedyMaxBIPS), and each cluster then refines its
-// own assignment exhaustively over modes^ClusterSize combinations within
-// the share the global level granted it (plus any aggregate slack, offered
-// round-robin). Decision cost is O(cores·modes·log cores + numClusters ·
-// modes^ClusterSize) instead of modes^cores, making 64-core chips cheap
+// NewHierarchical is the two-level manager §2 sketches, run by
+// solver.Hier. The global level splits the chip budget across fixed clusters
+// of clusterSize cores (4 when clusterSize ≤ 0): each cluster's share is the
+// power the greedy marginal-utility pass spends inside it, plus an even
+// split of the remaining headroom. Each cluster then refines its own
+// assignment exhaustively over modes^clusterSize vectors within its share,
+// and one rebalance pass re-offers the aggregate slack to each cluster in
+// turn. Decision cost is O(cores·modes·log cores + numClusters ·
+// modes^clusterSize) instead of modes^cores, making 64-core chips cheap
 // while staying near the monolithic optimum.
-type Hierarchical struct {
-	// ClusterSize is the number of cores per cluster (default 4 when zero).
-	ClusterSize int
-}
-
-// Name implements Policy.
-func (p Hierarchical) Name() string { return fmt.Sprintf("Hierarchical(%d)", p.clusterSize()) }
-
-func (p Hierarchical) clusterSize() int {
-	if p.ClusterSize <= 0 {
-		return 4
+//
+// The policy is cold (no session), so one value can be shared across
+// concurrent sweep workers.
+func NewHierarchical(clusterSize int) SolverPolicy {
+	if clusterSize <= 0 {
+		clusterSize = 4
 	}
-	return p.ClusterSize
-}
-
-// Decide implements Policy.
-func (p Hierarchical) Decide(ctx Context) modes.Vector {
-	n := ctx.NumCores()
-	k := p.clusterSize()
-	mx := ctx.Matrices
-	out := make(modes.Vector, n)
-
-	type cluster struct{ lo, hi int }
-	var clusters []cluster
-	for lo := 0; lo < n; lo += k {
-		hi := lo + k
-		if hi > n {
-			hi = n
-		}
-		clusters = append(clusters, cluster{lo, hi})
+	return SolverPolicy{
+		Solver: &solver.Hier{ClusterSize: clusterSize, Inner: &solver.Exhaustive{}, RebalancePasses: 1},
+		Label:  fmt.Sprintf("Hierarchical(%d)", clusterSize),
 	}
-
-	solve := func(i int, shareW float64) (modes.Vector, float64) {
-		cl := clusters[i]
-		sub := Matrices{
-			Power: mx.Power[cl.lo:cl.hi],
-			Instr: mx.Instr[cl.lo:cl.hi],
-		}
-		v := selectMaxThroughput(ctx.Plan, cl.hi-cl.lo, shareW, sub)
-		return v, sub.VectorPower(v)
-	}
-
-	// Global level: a greedy marginal-utility allocation sets how much of
-	// the budget each cluster can convert into throughput.
-	coarse := (GreedyMaxBIPS{}).Decide(ctx)
-	shares := make([]float64, len(clusters))
-	var allocated float64
-	for i, cl := range clusters {
-		for c := cl.lo; c < cl.hi; c++ {
-			shares[i] += mx.Power[c][coarse[c]]
-		}
-		allocated += shares[i]
-	}
-	headroom := ctx.BudgetW - allocated
-	if headroom > 0 {
-		// Spread the coarse pass's leftover evenly; the refinement pass
-		// below reclaims whatever stays unused.
-		for i := range shares {
-			shares[i] += headroom / float64(len(shares))
-		}
-	}
-
-	// Local level: exhaustive refinement within each cluster's share.
-	used := make([]float64, len(clusters))
-	for i, cl := range clusters {
-		v, p := solve(i, shares[i])
-		copy(out[cl.lo:cl.hi], v)
-		used[i] = p
-	}
-
-	// Second pass: clusters rarely spend their exact share (mode power is
-	// quantized), so re-offer the aggregate slack to each cluster in turn.
-	var spent float64
-	for _, p := range used {
-		spent += p
-	}
-	for i, cl := range clusters {
-		slack := ctx.BudgetW - spent
-		if slack <= 0 {
-			break
-		}
-		v, p := solve(i, used[i]+slack)
-		copy(out[cl.lo:cl.hi], v)
-		spent += p - used[i]
-		used[i] = p
-	}
-	return out
 }
 
 // ScoreVector is a testing/inspection helper: the predicted throughput and

@@ -72,7 +72,7 @@ func TestHierarchicalMatchesExhaustiveOnUniformDemand(t *testing.T) {
 	// the hierarchical result should match the flat optimum's throughput.
 	c := ctx(t, 144, []float64{20, 20, 20, 20, 20, 20, 20, 20},
 		[]float64{1000, 1000, 1000, 1000, 1000, 1000, 1000, 1000}, modes.Uniform(8, modes.Turbo))
-	h := Hierarchical{ClusterSize: 4}.Decide(c)
+	h := NewHierarchical(4).Decide(c)
 	f := MaxBIPS{}.Decide(c)
 	hi, hp := ScoreVector(c.Matrices, h)
 	fi, _ := ScoreVector(c.Matrices, f)
@@ -89,7 +89,7 @@ func TestHierarchicalHandlesOddCoreCounts(t *testing.T) {
 	powers := []float64{20, 25, 15, 20, 20, 20}
 	instrs := []float64{500, 900, 300, 700, 800, 600}
 	c := ctx(t, 100, powers, instrs, cur)
-	v := Hierarchical{ClusterSize: 4}.Decide(c) // clusters of 4 and 2
+	v := NewHierarchical(4).Decide(c) // clusters of 4 and 2
 	if len(v) != 6 {
 		t.Fatalf("vector length %d", len(v))
 	}
@@ -114,7 +114,7 @@ func TestHierarchicalBudgetProperty(t *testing.T) {
 		budget := total * (0.60 + float64(bRaw%41)/100)
 		k := 2 + int(kRaw%4) // cluster sizes 2..5
 		c := ctx(t, budget, powers, instrs, modes.Uniform(n, modes.Turbo))
-		v := Hierarchical{ClusterSize: k}.Decide(c)
+		v := NewHierarchical(k).Decide(c)
 		_, p := ScoreVector(c.Matrices, v)
 		if p <= budget*1.0001 {
 			return true
@@ -128,10 +128,19 @@ func TestHierarchicalBudgetProperty(t *testing.T) {
 }
 
 func TestHierarchicalName(t *testing.T) {
-	if got := (Hierarchical{}).Name(); got != "Hierarchical(4)" {
+	if got := NewHierarchical(0).Name(); got != "Hierarchical(4)" {
 		t.Errorf("default name %q", got)
 	}
-	if (Hierarchical{ClusterSize: 8}).Name() != "Hierarchical(8)" {
+	if NewHierarchical(8).Name() != "Hierarchical(8)" {
 		t.Error("sized name wrong")
+	}
+	// The registry name is the same cold policy: a SolverPolicy value, which
+	// an engine loop never gives a session.
+	p, err := Registry("hierarchical")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp, ok := p.(SolverPolicy); !ok || sp.Name() != "Hierarchical(4)" {
+		t.Errorf("Registry(hierarchical) = %T %q, want the cold SolverPolicy Hierarchical(4)", p, p.Name())
 	}
 }

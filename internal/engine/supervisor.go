@@ -34,14 +34,10 @@ type SupervisorConfig struct {
 	// Deadline, when positive, is the wall-clock budget per decision: the
 	// configured decider runs on a watchdog goroutine and is abandoned
 	// mid-solve (falling to rung 1) when the deadline passes. Wall-clock
-	// deadlines are inherently nondeterministic; use NodeBudget (and leave
-	// Deadline zero) when bit-identical reruns matter.
+	// deadlines are inherently nondeterministic; leave Deadline zero when
+	// bit-identical reruns matter (a deterministic node budget belongs on
+	// the solver itself, via solver.WithDeadline).
 	Deadline time.Duration
-	// NodeBudget is the deterministic per-decision solver node budget the
-	// front ends arm on the solver via solver.WithDeadline when wiring the
-	// supervisor. The supervisor itself does not enforce it — it is recorded
-	// here so one option struct carries the whole decision-bounding story.
-	NodeBudget int64
 	// ToleranceFrac is the conformance-gate tolerance (default 0.02,
 	// matching the guard's default OvershootFrac).
 	ToleranceFrac float64
@@ -56,8 +52,6 @@ func (c SupervisorConfig) Validate() error {
 	switch {
 	case c.Deadline < 0:
 		return &OptionError{Component: "engine", Field: "Supervisor.Deadline", Value: c.Deadline, Reason: "must be non-negative"}
-	case c.NodeBudget < 0:
-		return &OptionError{Component: "engine", Field: "Supervisor.NodeBudget", Value: c.NodeBudget, Reason: "must be non-negative"}
 	case math.IsNaN(c.ToleranceFrac) || math.IsInf(c.ToleranceFrac, 0) || c.ToleranceFrac < 0:
 		return &OptionError{Component: "engine", Field: "Supervisor.ToleranceFrac", Value: c.ToleranceFrac, Reason: "must be a finite non-negative fraction"}
 	case c.Predictor.Plan.NumModes() == 0:

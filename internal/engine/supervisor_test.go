@@ -311,9 +311,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative supervisor deadline", func(o *Options) {
 			o.Supervisor = &SupervisorConfig{Deadline: -1, Predictor: pred}
 		}, "Supervisor.Deadline"},
-		{"negative node budget", func(o *Options) {
-			o.Supervisor = &SupervisorConfig{NodeBudget: -1, Predictor: pred}
-		}, "Supervisor.NodeBudget"},
 		{"NaN tolerance", func(o *Options) {
 			o.Supervisor = &SupervisorConfig{ToleranceFrac: math.NaN(), Predictor: pred}
 		}, "Supervisor.ToleranceFrac"},

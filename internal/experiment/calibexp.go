@@ -8,6 +8,7 @@ import (
 	"gpm/internal/cmpsim"
 	"gpm/internal/core"
 	"gpm/internal/obs"
+	"gpm/internal/pool"
 	"gpm/internal/report"
 	"gpm/internal/workload"
 )
@@ -80,7 +81,7 @@ func (e *Env) CalibrationSweepWithState(combo workload.Combo, budgetFracs []floa
 	out := &CalibrationResult{ComboID: combo.ID, Intervals: intervals, History: history}
 	cells := make([]CalibrationCell, len(policies)*len(budgetFracs))
 	var trained *core.HistoryState // written only by the i==0 worker
-	err := forEach(e.workers(), len(cells), func(i int) error {
+	err := pool.ForEach(e.workers(), len(cells), func(i int) error {
 		pol := policies[i/len(budgetFracs)]
 		frac := budgetFracs[i%len(budgetFracs)]
 		cmpTrace, fullTrace, err := e.CrossSubstrateTraced(combo, pol, frac, intervals)
@@ -236,7 +237,7 @@ func (e *Env) CounterfactualReplay(combo workload.Combo, recorded core.Policy, b
 		}
 	}
 	rows := make([]RegretRow, len(lanes))
-	err = forEach(e.workers(), len(lanes), func(i int) error {
+	err = pool.ForEach(e.workers(), len(lanes), func(i int) error {
 		rr, err := calib.Replay(trace, calib.ReplayOptions{
 			Plan:      e.Plan,
 			Predictor: e.Predictor(),

@@ -12,6 +12,7 @@ import (
 	"gpm/internal/fault"
 	"gpm/internal/fullsim"
 	"gpm/internal/obs"
+	"gpm/internal/pool"
 	"gpm/internal/workload"
 )
 
@@ -100,10 +101,6 @@ type ChaosOptions struct {
 	// ToleranceFrac is the supervisor's conformance tolerance (0 = its
 	// default, 0.02); the monitors check against the same value.
 	ToleranceFrac float64
-	// NodeBudget is the deterministic per-decision solver bound, passed
-	// through to the supervisor config (meaningful for solver-backed
-	// policies).
-	NodeBudget int64
 	// Deadline, when positive, arms the wall-clock watchdog and adds wedged
 	// solver-stall windows to the fault schedules. Wall-clock deadlines are
 	// nondeterministic, so the bit-identical-rerun monitor is skipped.
@@ -438,12 +435,11 @@ func (e *Env) ChaosSoak(combo workload.Combo, opts ChaosOptions) (*ChaosReport, 
 	supCfg := func() *engine.SupervisorConfig {
 		return &engine.SupervisorConfig{
 			Deadline:      opts.Deadline,
-			NodeBudget:    opts.NodeBudget,
 			ToleranceFrac: opts.ToleranceFrac,
 		}
 	}
 	frags := make([]*ChaosReport, len(jobs))
-	err = forEach(opts.Parallel, len(jobs), func(i int) error {
+	err = pool.ForEach(opts.Parallel, len(jobs), func(i int) error {
 		j := jobs[i]
 		label := fmt.Sprintf("%s/%s/budget=%.2f/seed=%d", j.substrate, j.pol.Name(), j.frac, j.seed)
 		rng := rand.New(rand.NewSource(j.seed))

@@ -12,6 +12,7 @@ import (
 	"gpm/internal/metrics"
 	"gpm/internal/modes"
 	"gpm/internal/obs"
+	"gpm/internal/pool"
 	"gpm/internal/workload"
 )
 
@@ -126,7 +127,7 @@ func (e *Env) CrossSubstrate(combo workload.Combo, budgetFrac float64, intervals
 	// on the shared pool; the chips split the worker budget so the sweep's
 	// total goroutine count stays bounded by e.Workers.
 	rows := make([]CrossSubstrateRow, len(policies))
-	err = forEach(e.workers(), len(policies), func(i int) error {
+	err = pool.ForEach(e.workers(), len(policies), func(i int) error {
 		pol := policies[i]
 		tr, err := runTrace(pol, cmpsim.FixedBudget(budgetW))
 		if err != nil {

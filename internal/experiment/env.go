@@ -16,6 +16,7 @@ import (
 	"gpm/internal/metrics"
 	"gpm/internal/modes"
 	"gpm/internal/obs"
+	"gpm/internal/pool"
 	"gpm/internal/power"
 	"gpm/internal/trace"
 	"gpm/internal/workload"
@@ -198,7 +199,7 @@ func (e *Env) Curves(combo workload.Combo, policies []core.Policy) ([]*PolicyCur
 	}
 	nb := len(e.Budgets)
 	runs := make([]*cmpsim.Result, len(policies)*nb)
-	err = forEach(e.workers(), len(runs), func(i int) error {
+	err = pool.ForEach(e.workers(), len(runs), func(i int) error {
 		pol, frac := policies[i/nb], e.Budgets[i%nb]
 		res, runErr := e.Run(combo, pol, cmpsim.FixedBudget(frac*base.EnvelopePowerW()))
 		if runErr != nil {

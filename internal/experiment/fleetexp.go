@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"gpm/internal/fleet"
+	"gpm/internal/pool"
 )
 
 // FleetCapFracs is the default facility-cap sweep: fractions of the fleet's
@@ -39,7 +40,7 @@ func (e *Env) FleetSweep(cfg fleet.Config, capFracs []float64) ([]FleetSweepPoin
 		capFracs = FleetCapFracs
 	}
 	pts := make([]FleetSweepPoint, len(capFracs))
-	err := forEach(e.workers(), len(capFracs), func(i int) error {
+	err := pool.ForEach(e.workers(), len(capFracs), func(i int) error {
 		c := cfg
 		c.FacilityCapW = nil
 		c.CapFrac = capFracs[i]

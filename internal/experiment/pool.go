@@ -1,65 +1,9 @@
 package experiment
 
-import (
-	"errors"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
-
-// forEach runs fn(i) for every i in [0, n) on at most `workers` goroutines
-// (the calling goroutine participates, so only workers-1 are spawned). Jobs
-// are claimed through an atomic cursor, so the schedule is dynamic but the
-// caller's result placement — indexed writes into pre-sized slices — is
-// deterministic regardless of worker count. Errors are joined in index
-// order. workers <= 1 degenerates to a plain serial loop on the caller.
-//
-// This is the one fan-out primitive shared by the sweep runners: it bounds
-// total goroutines per sweep (replacing unbounded per-job spawning) and
-// keeps nested use safe — a nested forEach still bounds its own spawn count
-// and always makes progress on the calling goroutine.
-func forEach(workers, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	errs := make([]error, n)
-	var cursor atomic.Int64
-	work := func() {
-		for {
-			i := int(cursor.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			errs[i] = fn(i)
-		}
-	}
-	if workers <= 1 {
-		work()
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(workers - 1)
-		for k := 0; k < workers-1; k++ {
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		work()
-		wg.Wait()
-	}
-	return errors.Join(errs...)
-}
+import "gpm/internal/pool"
 
 // workers resolves the env's worker bound (0 = GOMAXPROCS).
-func (e *Env) workers() int {
-	if e.Workers > 0 {
-		return e.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
+func (e *Env) workers() int { return pool.Workers(e.Workers) }
 
 // chipWorkers divides the env's workers among `concurrent` simultaneous
 // cycle-level chips, so a sweep that fans out whole runs does not multiply

@@ -7,6 +7,7 @@ import (
 	"gpm/internal/core"
 	"gpm/internal/fault"
 	"gpm/internal/metrics"
+	"gpm/internal/pool"
 	"gpm/internal/workload"
 )
 
@@ -111,7 +112,7 @@ func (e *Env) ResilienceSweep(combo workload.Combo, policies []core.Policy, rate
 	// total, not one per job); indexed writes keep the point order
 	// deterministic.
 	points := make([]ResiliencePoint, len(jobs))
-	err = forEach(opts.Parallel, len(jobs), func(i int) error {
+	err = pool.ForEach(opts.Parallel, len(jobs), func(i int) error {
 		j := jobs[i]
 		sc := opts.Scenario(j.rate, opts.Seed+int64(j.rateIdx))
 		opt := cmpsim.Options{

@@ -40,7 +40,7 @@ func (e *Env) AblationSelectors(width int, budgetFrac float64) ([]SelectorRow, e
 
 	policies := []core.Policy{
 		core.GreedyMaxBIPS{},
-		core.Hierarchical{ClusterSize: 4},
+		core.NewHierarchical(4),
 		core.StableMaxBIPS{},
 	}
 	if width <= 10 {

@@ -32,24 +32,22 @@ type SolverScalingRow struct {
 	// Quality is Instr over the reference solver's; Reference names it.
 	Quality   float64
 	Reference string
-	// Exact and GapBound echo the solver's own certificate.
-	Exact    bool
-	GapBound float64
-	Nodes    int64
+	// Exact echoes the solver's own certificate.
+	Exact bool
+	Nodes int64
 	// Wall is the measured decision wall-clock.
 	Wall time.Duration
 }
 
 // SolverScalingOptions tunes the sweep.
 type SolverScalingOptions struct {
-	// Solvers filters the solver set (default: exhaustive, bb, dp, hier,
-	// greedy; exhaustive rows are emitted only up to ExhaustiveMax cores).
+	// Solvers filters the solver set (default: exhaustive, bb, hier, greedy;
+	// exhaustive rows are emitted only up to ExhaustiveMax cores).
 	Solvers []string
 	// ExhaustiveMax caps the widths the exhaustive reference runs at
 	// (default 12; 3^12 ≈ 531k vectors).
 	ExhaustiveMax int
-	// QuantumW and ClusterSize parameterize DP and Hier (0 = defaults).
-	QuantumW    float64
+	// ClusterSize parameterizes Hier (0 = default).
 	ClusterSize int
 	// NodeBudget caps branch-and-bound work per decision; 0 selects an
 	// adaptive default that keeps ≤64-core instances exact and bounds
@@ -61,7 +59,7 @@ func (o SolverScalingOptions) solvers() []string {
 	if len(o.Solvers) > 0 {
 		return o.Solvers
 	}
-	return []string{"exhaustive", "bb", "dp", "hier", "greedy"}
+	return []string{"exhaustive", "bb", "hier", "greedy"}
 }
 
 func (o SolverScalingOptions) exhaustiveMax() int {
@@ -135,7 +133,6 @@ func (e *Env) SolverScaling(widths []int, budgetFrac float64, opts SolverScaling
 				continue
 			}
 			s, err := solver.New(name, solver.Options{
-				QuantumW:    opts.QuantumW,
 				ClusterSize: opts.ClusterSize,
 				NodeLimit:   opts.nodeBudget(n),
 			})
@@ -145,15 +142,14 @@ func (e *Env) SolverScaling(widths []int, budgetFrac float64, opts SolverScaling
 			v, st := s.Solve(in)
 			cells = append(cells, cell{
 				row: SolverScalingRow{
-					Cores:    n,
-					Solver:   name,
-					BudgetW:  in.BudgetW,
-					PowerW:   in.VectorPower(v),
-					Instr:    in.VectorInstr(v),
-					Exact:    st.Exact,
-					GapBound: st.GapBound,
-					Nodes:    st.Nodes,
-					Wall:     st.Elapsed,
+					Cores:   n,
+					Solver:  name,
+					BudgetW: in.BudgetW,
+					PowerW:  in.VectorPower(v),
+					Instr:   in.VectorInstr(v),
+					Exact:   st.Exact,
+					Nodes:   st.Nodes,
+					Wall:    st.Elapsed,
 				},
 				v: v,
 			})

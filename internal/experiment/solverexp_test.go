@@ -41,11 +41,10 @@ func instanceForCombo(t *testing.T, e *Env, combo workload.Combo, budgetFrac flo
 	return in
 }
 
-// TestGoldenBBAndDPOnSeedWorkloads is the acceptance golden: on every 8-core
+// TestGoldenBBOnSeedWorkloads is the acceptance golden: on every 8-core
 // Table 2 combo and every budget, branch-and-bound (lex-tie mode) must return
-// a vector bit-identical to the exhaustive reference, and DP at the default
-// quantum must stay within 99% of the exhaustive throughput.
-func TestGoldenBBAndDPOnSeedWorkloads(t *testing.T) {
+// a vector bit-identical to the exhaustive reference.
+func TestGoldenBBOnSeedWorkloads(t *testing.T) {
 	e := env(t)
 	combos, err := workload.Combos(8)
 	if err != nil {
@@ -57,7 +56,6 @@ func TestGoldenBBAndDPOnSeedWorkloads(t *testing.T) {
 	}
 	ex := &solver.Exhaustive{}
 	bb := &solver.BB{LexTies: true}
-	dp := &solver.DP{}
 	for _, combo := range combos {
 		for _, frac := range budgets {
 			in := instanceForCombo(t, e, combo, frac)
@@ -68,21 +66,6 @@ func TestGoldenBBAndDPOnSeedWorkloads(t *testing.T) {
 			}
 			if !bbV.Equal(exV) {
 				t.Fatalf("%s @%.0f%%: bb %v, exhaustive %v", combo.ID, frac*100, bbV, exV)
-			}
-			// DP quality/feasibility only mean something when a feasible
-			// vector exists at all (at tight budgets even all-Eff2 can
-			// exceed the cap; every solver then returns the deepest floor).
-			deepest := modes.Uniform(8, modes.Mode(e.Plan.NumModes()-1))
-			if in.VectorPower(deepest) > in.BudgetW {
-				continue
-			}
-			dpV, _ := dp.Solve(in)
-			exT := in.VectorInstr(exV)
-			if dpT := in.VectorInstr(dpV); exT > 0 && dpT < 0.99*exT {
-				t.Fatalf("%s @%.0f%%: dp quality %.4f below 99%%", combo.ID, frac*100, dpT/exT)
-			}
-			if pw := in.VectorPower(dpV); pw > in.BudgetW+1e-9 {
-				t.Fatalf("%s @%.0f%%: dp over budget (%.3f > %.3f)", combo.ID, frac*100, pw, in.BudgetW)
 			}
 		}
 	}
@@ -140,13 +123,6 @@ func TestSolverScalingQuick(t *testing.T) {
 			if !r.Exact || r.Quality < 1-1e-9 {
 				t.Errorf("%d-core bb: exact=%v quality=%.6f, want exact optimum", r.Cores, r.Exact, r.Quality)
 			}
-		case "dp":
-			if r.Quality < 0.99 {
-				t.Errorf("%d-core dp: quality %.4f below 99%%", r.Cores, r.Quality)
-			}
-			if r.GapBound < 0 || r.GapBound >= 1 {
-				t.Errorf("%d-core dp: gap bound %.4f out of range", r.Cores, r.GapBound)
-			}
 		case "hier":
 			if r.Quality < 0.99 {
 				t.Errorf("%d-core hier: quality %.4f below 99%%", r.Cores, r.Quality)
@@ -154,8 +130,8 @@ func TestSolverScalingQuick(t *testing.T) {
 		}
 	}
 	for _, n := range []int{4, 8} {
-		if byWidth[n] != 5 {
-			t.Errorf("%d-core: %d rows, want 5 solvers", n, byWidth[n])
+		if byWidth[n] != 4 {
+			t.Errorf("%d-core: %d rows, want 4 solvers", n, byWidth[n])
 		}
 	}
 }
@@ -168,7 +144,7 @@ func TestSolverScalingLarge(t *testing.T) {
 	}
 	e := env(t)
 	rows, err := e.SolverScaling([]int{64}, 0.75, SolverScalingOptions{
-		Solvers: []string{"bb", "dp", "hier", "greedy"},
+		Solvers: []string{"bb", "hier", "greedy"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +162,7 @@ func TestSolverScalingLarge(t *testing.T) {
 	}
 
 	rows, err = e.SolverScaling([]int{1024}, 0.75, SolverScalingOptions{
-		Solvers: []string{"dp", "hier", "greedy"},
+		Solvers: []string{"hier", "greedy"},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -33,6 +33,7 @@ import (
 
 	"gpm/internal/engine"
 	"gpm/internal/metrics"
+	"gpm/internal/pool"
 	"gpm/internal/trace"
 	"gpm/internal/workload"
 )
@@ -343,7 +344,7 @@ func (f *Fleet) Run() (*Result, error) {
 			f.epochLog = append(f.epochLog, f.arbiter.rebalance(f, start))
 		}
 		f.route(float64(w)*f.windowSec, float64(w+1)*f.windowSec)
-		err := forEach(f.workers(), len(f.chips), func(i int) error {
+		err := pool.ForEach(f.workers(), len(f.chips), func(i int) error {
 			return f.chips[i].advance()
 		})
 		if err != nil {
@@ -357,7 +358,7 @@ func (f *Fleet) Run() (*Result, error) {
 }
 
 func (f *Fleet) workers() int {
-	return poolWorkers(f.cfg.Workers)
+	return pool.Workers(f.cfg.Workers)
 }
 
 // CohortStats is the per-cohort serving outcome.

@@ -43,9 +43,6 @@ func TestManagedOptionsValidation(t *testing.T) {
 			o.Supervisor = &engine.SupervisorConfig{}
 			o.Replay = &obs.Trace{Records: []obs.Record{{Vector: []int{0, 0}, BudgetW: 40}}}
 		}, "Supervisor"},
-		{"negative supervisor node budget", func(o *ManagedOptions) {
-			o.Supervisor = &engine.SupervisorConfig{NodeBudget: -1}
-		}, "Supervisor.NodeBudget"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

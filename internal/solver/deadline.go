@@ -123,7 +123,6 @@ type Bounded interface {
 // Compile-time proof that every registry solver is Bounded.
 var (
 	_ Bounded = (*Exhaustive)(nil)
-	_ Bounded = (*DP)(nil)
 	_ Bounded = (*BB)(nil)
 	_ Bounded = (*Hier)(nil)
 	_ Bounded = Greedy{}

@@ -126,8 +126,7 @@ func (g *greedyScratch) offer(c int, dp, ratio float64) {
 }
 
 // greedySolve is the greedy kernel; Greedy, BB's incumbent seed, Hier's
-// demand shares, DP's fallback and Exhaustive's intractable fallback all run
-// it. Each step takes the best (ratio desc, core asc) candidate that fits
+// demand shares and Exhaustive's intractable fallback all run it. Each step takes the best (ratio desc, core asc) candidate that fits
 // the budget — !(power+ΔP > budget), so NaN comparisons read as fitting.
 // Candidates that do not fit are stashed; with chip power non-decreasing
 // (float addition is monotone) they cannot fit later, so the stash is only

@@ -10,10 +10,9 @@ import (
 // TestSolverOrderingProperty drives all solvers over seeded random Power/BIPS
 // matrices and asserts the quality ordering the subsystem promises:
 //
-//	exhaustive == branch-and-bound ≥ DP ≥ greedy
+//	exhaustive == branch-and-bound ≥ greedy
 //
-// together with budget feasibility of every returned vector and the validity
-// of DP's reported optimality-gap bound.
+// together with budget feasibility of every returned vector.
 func TestSolverOrderingProperty(t *testing.T) {
 	plans := []modes.Plan{plan3(), modes.Linear(4, 0.75, 1.300, 0.010)}
 	seeds := 40
@@ -29,7 +28,6 @@ func TestSolverOrderingProperty(t *testing.T) {
 			exV, exSt := (&Exhaustive{}).Solve(in)
 			bbV, bbSt := (&BB{}).Solve(in)
 			lexV, _ := (&BB{LexTies: true}).Solve(in)
-			dpV, dpSt := (&DP{}).Solve(in)
 			grV, _ := Greedy{}.Solve(in)
 
 			feasible := in.VectorPower(in.deepestVector()) <= in.BudgetW
@@ -44,7 +42,6 @@ func TestSolverOrderingProperty(t *testing.T) {
 			exT := check("exhaustive", exV)
 			bbT := check("bb", bbV)
 			check("bb-lex", lexV)
-			dpT := check("dp", dpV)
 			grT := check("greedy", grV)
 
 			tol := 1e-9 * (1 + exT)
@@ -54,21 +51,11 @@ func TestSolverOrderingProperty(t *testing.T) {
 			if !lexV.Equal(exV) {
 				t.Fatalf("plan=%d seed=%d n=%d: lex-ties bb %v != exhaustive %v", pi, seed, n, lexV, exV)
 			}
-			if dpT > exT+tol {
-				t.Fatalf("plan=%d seed=%d: dp %g beats exhaustive %g", pi, seed, dpT, exT)
-			}
-			if grT > dpT+tol {
-				t.Fatalf("plan=%d seed=%d: greedy %g beats dp %g", pi, seed, grT, dpT)
+			if grT > exT+tol {
+				t.Fatalf("plan=%d seed=%d: greedy %g beats exhaustive %g", pi, seed, grT, exT)
 			}
 			if !exSt.Exact || !bbSt.Exact {
 				t.Fatalf("plan=%d seed=%d: exact solvers not flagged exact", pi, seed)
-			}
-			// DP's certificate must actually bound its error vs the optimum.
-			if exT > 0 {
-				err := (exT - dpT) / exT
-				if err > dpSt.GapBound+1e-12 {
-					t.Fatalf("plan=%d seed=%d: dp error %g exceeds reported gap bound %g", pi, seed, err, dpSt.GapBound)
-				}
 			}
 		}
 	}

@@ -94,7 +94,6 @@ type Session struct {
 
 	gs   greedyScratch
 	bb   bbScratch
-	dp   dpScratch
 	hier *hierState
 
 	stats  SessionStats
@@ -113,7 +112,7 @@ type memoEntry struct {
 // NewSession builds a stateful solving session over s. Deadline wrappers are
 // unwrapped and their wall/node budgets applied per Solve (tightest layer
 // wins), exactly like Deadline.Solve. The memo is enabled for stateless
-// solvers only: BB, DP, Exhaustive, Greedy, and Hier with Alpha == 0 — a
+// solvers only: BB, Exhaustive, Greedy, and Hier with Alpha == 0 — a
 // share-smoothing Hier must re-solve so its share state keeps evolving.
 func NewSession(s Solver) *Session {
 	ses := &Session{solver: s}
@@ -136,7 +135,7 @@ func NewSession(s Solver) *Session {
 	case *Hier:
 		ses.hier = &hierState{}
 		ses.memoOK = b.Alpha == 0
-	case *BB, *DP, *Exhaustive, Greedy:
+	case *BB, *Exhaustive, Greedy:
 		ses.memoOK = true
 	}
 	return ses
@@ -181,7 +180,6 @@ func (s *Session) Close() {
 	}
 	s.gs = greedyScratch{}
 	s.bb = bbScratch{}
-	s.dp = dpScratch{}
 }
 
 // Solve runs one warm-started solve. Semantics match the wrapped solver's
@@ -225,9 +223,15 @@ func (s *Session) solveBounded(in Instance, h Hint, cp *Checkpoint) (modes.Vecto
 	var st Stats
 	switch b := s.base.(type) {
 	case *BB:
-		v, st = s.solveBB(b, in, h, warm, cp)
-	case *DP:
-		v, st = b.solveWith(in, cp, &s.dp)
+		var hint modes.Vector
+		if warm {
+			hint = h.Vector
+		}
+		var floored bool
+		v, st, floored = b.solve(in, cp, &s.bb, hint)
+		if floored {
+			s.stats.WarmFloored++
+		}
 	case *Hier:
 		v, st = b.solveWith(in, cp, s.hier, h)
 	case Greedy:
@@ -261,26 +265,6 @@ func (s *Session) solveBounded(in Instance, h Hint, cp *Checkpoint) (modes.Vecto
 	return v, st
 }
 
-// solveBB is the warm BB path: scratch-built frontier, greedy seed, and
-// the hint as an extra pruning floor. Non-finite instances take the cold
-// path — the fast frontier sorts assume totally ordered keys.
-func (s *Session) solveBB(b *BB, in Instance, h Hint, warm bool, cp *Checkpoint) (modes.Vector, Stats) {
-	start := time.Now()
-	if in.NumCores() == 0 || !finiteInstance(in) {
-		return b.SolveBounded(in, cp)
-	}
-	s.bb.frontier.build(in, true)
-	gv, _, _ := greedySolve(in, cp, &s.gs)
-	warmFloor := math.Inf(-1)
-	if warm {
-		if hp := in.VectorPower(h.Vector); hp <= in.BudgetW {
-			warmFloor = in.VectorInstr(h.Vector)
-			s.stats.WarmFloored++
-		}
-	}
-	return b.solveFrom(in, cp, &s.bb.frontier, gv, warmFloor, &s.bb, start)
-}
-
 // usableHint reports that the hint vector is shape-compatible with the
 // instance (right width, every mode in range). Feasibility is checked
 // separately at each use site, against the current matrices.
@@ -299,9 +283,9 @@ func usableHint(in Instance, h Hint) bool {
 }
 
 // finiteInstance reports that the budget and every matrix entry are finite.
-// The warm BB path requires it: NaNs have no defined order under the fast
-// frontier sorts, so non-finite instances fall back to cold BB (which the
-// memo also never caches: NaN compares unequal).
+// BB's fast frontier sorts and its warm floor require it: NaNs have no
+// defined order under the fast sorts (and the memo never answers such an
+// instance: NaN compares unequal).
 func finiteInstance(in Instance) bool {
 	if !finite(in.BudgetW) {
 		return false
@@ -412,31 +396,9 @@ func resizeFloats(s []float64, n int) []float64 {
 	return s
 }
 
-func resizeInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
 func resizeInt64s(s []int64, n int) []int64 {
 	if cap(s) < n {
 		return make([]int64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func resizeBytes(s []uint8, n int) []uint8 {
-	if cap(s) < n {
-		return make([]uint8, n)
 	}
 	s = s[:n]
 	for i := range s {

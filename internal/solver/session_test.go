@@ -51,12 +51,11 @@ func TestWarmVsColdBitIdentical(t *testing.T) {
 	cfgs := []cfg{
 		{"bb", func() Solver { return &BB{} }, 12},
 		{"bb-lexties", func() Solver { return &BB{LexTies: true} }, 10},
-		{"dp", func() Solver { return &DP{} }, 12},
 		{"hier", func() Solver { return &Hier{ClusterSize: 4} }, 12},
 		{"greedy", func() Solver { return Greedy{} }, 16},
 		{"exhaustive", func() Solver { return &Exhaustive{} }, 7},
 	}
-	const seeds = 4 // × 6 solvers = 24 sequences ≥ the 20 the issue demands
+	const seeds = 4 // × 5 solvers = 20 sequences
 	const steps = 12
 	for _, c := range cfgs {
 		for seed := int64(0); seed < seeds; seed++ {
@@ -383,10 +382,7 @@ func TestOptionsValidate(t *testing.T) {
 		field string // "" = valid
 	}{
 		{"zero", Options{}, ""},
-		{"positive", Options{QuantumW: 0.5, ClusterSize: 4, Workers: 2, NodeLimit: 1000}, ""},
-		{"neg-quantum", Options{QuantumW: -0.5}, "QuantumW"},
-		{"nan-quantum", Options{QuantumW: math.NaN()}, "QuantumW"},
-		{"inf-quantum", Options{QuantumW: math.Inf(1)}, "QuantumW"},
+		{"positive", Options{ClusterSize: 4, Workers: 2, NodeLimit: 1000}, ""},
 		{"neg-cluster", Options{ClusterSize: -1}, "ClusterSize"},
 		{"neg-workers", Options{Workers: -2}, "Workers"},
 		{"neg-nodelimit", Options{NodeLimit: -1}, "NodeLimit"},

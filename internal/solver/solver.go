@@ -11,8 +11,6 @@
 //   - Exhaustive: the brute-force reference and MaxBIPS kernel, sharded
 //     across worker goroutines on large instances so the tractable range
 //     stretches a few cores further.
-//   - DP: a pseudo-polynomial multiple-choice knapsack over quantized power
-//     with a configurable quantum and a certified optimality-gap bound.
 //   - BB: exact branch-and-bound seeded with the greedy incumbent and pruned
 //     by a fractional (convex-hull water-filling) relaxation upper bound —
 //     exact answers at 64+ cores in microseconds to milliseconds.
@@ -33,7 +31,6 @@ package solver
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"gpm/internal/modes"
@@ -114,19 +111,15 @@ type Stats struct {
 	// Solver is the registry name of the solver that produced the vector.
 	Solver string
 	// Nodes counts evaluated states: vectors for enumerative solvers,
-	// branch nodes for BB, table cells for DP.
+	// branch nodes for BB.
 	Nodes int64
 	// Pruned counts subtrees cut by bounds (BB only).
 	Pruned int64
 	// Exact reports that the returned vector is a true optimum of the
 	// instance (not merely of a relaxation or decomposition).
 	Exact bool
-	// GapBound, for inexact solvers that can certify one, bounds the
-	// relative throughput shortfall vs the true optimum:
-	// (OPT − returned) / OPT ≤ GapBound.
-	GapBound float64
 	// UpperBoundInstr is the fractional-relaxation throughput upper bound
-	// when the solver computed one (BB root bound, DP gap certificate).
+	// when the solver computed one (BB's root bound).
 	UpperBoundInstr float64
 	// Workers is the goroutine count used by parallel solvers.
 	Workers int
@@ -151,9 +144,6 @@ type Solver interface {
 
 // Options parameterizes New.
 type Options struct {
-	// QuantumW is DP's power quantum in watts; 0 selects the adaptive
-	// default BudgetW / max(2048, 16·cores).
-	QuantumW float64
 	// ClusterSize is Hier's cores-per-cluster (default 8).
 	ClusterSize int
 	// Workers bounds the goroutines of parallel solvers (default GOMAXPROCS).
@@ -164,16 +154,10 @@ type Options struct {
 }
 
 // Validate checks Options for values that would silently misbehave inside
-// the solvers (a negative quantum flips DP's rounding, a negative cluster
-// size degenerates Hier, negative worker or node counts read as "unlimited").
+// the solvers (a negative cluster size degenerates Hier, negative worker or
+// node counts read as "unlimited").
 // All failures are *OptionError.
 func (opt Options) Validate() error {
-	if math.IsNaN(opt.QuantumW) || math.IsInf(opt.QuantumW, 0) {
-		return &OptionError{Field: "QuantumW", Value: opt.QuantumW, Reason: "must be finite"}
-	}
-	if opt.QuantumW < 0 {
-		return &OptionError{Field: "QuantumW", Value: opt.QuantumW, Reason: "must be non-negative (0 selects the adaptive default)"}
-	}
 	if opt.ClusterSize < 0 {
 		return &OptionError{Field: "ClusterSize", Value: opt.ClusterSize, Reason: "must be non-negative (0 selects the default)"}
 	}
@@ -204,7 +188,7 @@ func (e *OptionError) Error() string {
 }
 
 // Names lists the registry names accepted by New.
-func Names() []string { return []string{"exhaustive", "dp", "bb", "hier", "greedy"} }
+func Names() []string { return []string{"exhaustive", "bb", "hier", "greedy"} }
 
 // New builds a solver by registry name. Options are validated first; a
 // rejected option returns a *OptionError.
@@ -215,8 +199,6 @@ func New(name string, opt Options) (Solver, error) {
 	switch name {
 	case "exhaustive":
 		return &Exhaustive{Workers: opt.Workers}, nil
-	case "dp":
-		return &DP{QuantumW: opt.QuantumW}, nil
 	case "bb":
 		return &BB{NodeLimit: opt.NodeLimit}, nil
 	case "hier":
@@ -224,6 +206,6 @@ func New(name string, opt Options) (Solver, error) {
 	case "greedy":
 		return Greedy{}, nil
 	default:
-		return nil, fmt.Errorf("solver: unknown solver %q (want exhaustive|dp|bb|hier|greedy)", name)
+		return nil, fmt.Errorf("solver: unknown solver %q (want exhaustive|bb|hier|greedy)", name)
 	}
 }
