@@ -53,16 +53,18 @@ bench-json:
 		| $(GO) run ./cmd/benchjson > BENCH_calib.json
 	@echo wrote BENCH_calib.json
 
-# The steady-state allocation gate: re-run the warm-session benchmark rows
-# (short -benchtime — allocs/op is iteration-invariant) and fail if any row
-# allocates more per op than the committed BENCH_*.json baseline admits. The
-# warm solver rows are pinned at 0 allocs/op, so any new allocation on the
-# session hot path fails CI here.
+# The steady-state allocation gate: re-run the warm-session and engine-loop
+# benchmark rows (short -benchtime — allocs/op is iteration-invariant) and
+# fail if any row allocates more per op than the committed BENCH_*.json
+# baseline admits. The warm solver rows are pinned at 0 allocs/op, so any new
+# allocation on the session hot path fails CI here.
 bench-check:
 	$(GO) test -run '^$$' -bench 'BenchmarkSolverWarm' -benchtime 5x -benchmem ./internal/solver \
 		| $(GO) run ./cmd/benchjson -check BENCH_solver.json
-	$(GO) test -run '^$$' -bench 'BenchmarkEngine$$/warm' -benchtime 3x -benchmem ./internal/engine \
-		| $(GO) run ./cmd/benchjson -check BENCH_engine.json -slack 1.15
+	# Every engine-loop row: the per-delta path is allocation-free, so a
+	# per-delta allocation coming back adds ~1,000 allocs/op and fails here.
+	$(GO) test -run '^$$' -bench 'BenchmarkEngine$$' -benchtime 3x -benchmem ./internal/engine \
+		| $(GO) run ./cmd/benchjson -check BENCH_engine.json -slack 1.15 -match 'BenchmarkEngine/'
 	$(GO) test -run '^$$' -bench 'BenchmarkHistoryPredictor/warm' -benchtime 100x -benchmem ./internal/core \
 		| $(GO) run ./cmd/benchjson -check BENCH_calib.json
 	# Fleet steady state: the 0-dirty epoch (telemetry fold + skip, no solve)

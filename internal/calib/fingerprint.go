@@ -1,94 +1,67 @@
 package calib
 
-import (
-	"hash"
-	"hash/fnv"
-	"math"
-)
+import "gpm/internal/obs"
 
-// fpWriter mirrors internal/obs's FNV-64a float-bits hashing so the calib
-// golden fingerprints use the same primitive as the engine's.
-type fpWriter struct{ h hash.Hash64 }
-
-func newFPWriter() fpWriter { return fpWriter{h: fnv.New64a()} }
-
-func (w fpWriter) f(f float64) {
-	var b [8]byte
-	u := math.Float64bits(f)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(u >> (8 * i))
-	}
-	w.h.Write(b[:])
+// hashStr folds s and a 0 terminator, so adjacent strings cannot run together.
+func hashStr(w *obs.Hasher, s string) {
+	w.Str(s)
+	w.Str("\x00")
 }
 
-func (w fpWriter) s(s string) {
-	w.h.Write([]byte(s))
-	w.h.Write([]byte{0})
-}
-
-func (w fpWriter) sum() uint64 { return w.h.Sum64() }
-
-func (w fpWriter) fit(f Fit) {
-	w.f(float64(f.N))
-	w.f(f.MAPE)
-	w.f(f.Bias)
-	w.f(f.R)
-	if f.RDefined {
-		w.f(1)
-	} else {
-		w.f(0)
-	}
+// hashFit folds one fit's statistics.
+func hashFit(w *obs.Hasher, f Fit) {
+	w.F64(float64(f.N))
+	w.F64(f.MAPE)
+	w.F64(f.Bias)
+	w.F64(f.R)
+	w.Bool(f.RDefined)
 }
 
 // ScoreFingerprint hashes every numeric series and fit statistic of a
 // calibration Score bit-exactly, so any drift in the predictor, the trace
 // schema, or the scoring pairing changes the hash.
 func ScoreFingerprint(s *Score) uint64 {
-	w := newFPWriter()
-	w.s(s.Substrate)
-	w.s(s.Policy)
-	w.s(s.ComboID)
-	w.f(s.MeanBudgetW)
-	w.f(float64(s.Intervals))
-	w.fit(s.Power)
-	w.fit(s.Instr)
+	w := obs.NewHasher()
+	hashStr(&w, s.Substrate)
+	hashStr(&w, s.Policy)
+	hashStr(&w, s.ComboID)
+	w.F64(s.MeanBudgetW)
+	w.F64(float64(s.Intervals))
+	hashFit(&w, s.Power)
+	hashFit(&w, s.Instr)
 	for i := range s.PredPowerW {
-		w.f(s.PredPowerW[i])
-		w.f(s.ActualPowerW[i])
-		w.f(s.PredInstr[i])
-		w.f(s.ActualInstr[i])
+		w.F64(s.PredPowerW[i])
+		w.F64(s.ActualPowerW[i])
+		w.F64(s.PredInstr[i])
+		w.F64(s.ActualInstr[i])
 	}
-	return w.sum()
+	return w.Sum()
 }
 
 // ReplayFingerprint hashes a counterfactual replay's full per-interval regret
 // series and cumulative totals bit-exactly.
 func ReplayFingerprint(r *ReplayResult) uint64 {
-	w := newFPWriter()
-	w.s(r.Policy)
-	w.s(r.RecordedPolicy)
+	w := obs.NewHasher()
+	hashStr(&w, r.Policy)
+	hashStr(&w, r.RecordedPolicy)
 	for i := range r.Intervals {
 		ir := &r.Intervals[i]
-		w.f(float64(ir.Interval))
-		w.f(float64(ir.NowNs))
-		w.f(ir.BudgetW)
-		w.f(ir.RecordedInstr)
-		w.f(ir.PolicyInstr)
-		w.f(ir.OracleInstr)
-		w.f(ir.RecordedPowerW)
-		w.f(ir.PolicyPowerW)
-		w.f(ir.OraclePowerW)
-		w.f(ir.VsRecorded)
-		w.f(ir.VsOracle)
-		if ir.Matched {
-			w.f(1)
-		} else {
-			w.f(0)
-		}
+		w.F64(float64(ir.Interval))
+		w.F64(float64(ir.NowNs))
+		w.F64(ir.BudgetW)
+		w.F64(ir.RecordedInstr)
+		w.F64(ir.PolicyInstr)
+		w.F64(ir.OracleInstr)
+		w.F64(ir.RecordedPowerW)
+		w.F64(ir.PolicyPowerW)
+		w.F64(ir.OraclePowerW)
+		w.F64(ir.VsRecorded)
+		w.F64(ir.VsOracle)
+		w.Bool(ir.Matched)
 	}
-	w.f(r.CumVsRecorded)
-	w.f(r.CumVsOracle)
-	w.f(r.RecordedVsOracle)
-	w.f(float64(r.Matches))
-	return w.sum()
+	w.F64(r.CumVsRecorded)
+	w.F64(r.CumVsOracle)
+	w.F64(r.RecordedVsOracle)
+	w.F64(float64(r.Matches))
+	return w.Sum()
 }

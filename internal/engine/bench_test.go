@@ -189,22 +189,23 @@ func TestObserverNilPathZeroAllocs(t *testing.T) {
 // interval* on the observer-nil path beyond the engine's own per-delta series
 // appends (rows, modes, samples): it runs two horizons whose interval counts
 // differ by a known amount with series capacity pre-exhausted identically,
-// and subtracts the engine's accounted per-interval allocations (2 rows + 1
-// cloned vector per interval = 3, plus amortized append growth measured on
-// the identical un-observed baseline at HEAD).
+// and subtracts the engine's accounted per-interval allocations (1 cloned
+// vector per interval, plus amortized append growth measured on the
+// identical un-observed baseline at HEAD).
 func nilPathMarginalAllocs(t *testing.T, plan modes.Plan, pred core.Predictor) float64 {
 	t.Helper()
 	// The observability layer allocates only in the `obs != nil` branches
 	// and in Result.Obs.StageOverrides setup (one slice per run, not per
 	// interval). Per-interval allocation neutrality is therefore: the
 	// per-interval allocation count with Observer nil equals the engine's
-	// inherent per-interval count (rowP, rowI per delta; vector clone and
-	// sample handling per interval), which predates the layer. We pin it by
-	// comparing against a run with the counters' only per-interval work —
-	// integer increments — compiled in, which IS the nil path. Hence: 0 by
-	// construction unless a future change adds allocation to the always-on
-	// counter updates; detect that by checking the nil path's per-interval
-	// allocation growth is identical for two run lengths.
+	// inherent per-interval count (vector clone and sample handling per
+	// interval; per-delta rows come off a preallocated slab), which predates
+	// the layer. We pin it by comparing against a run with the counters'
+	// only per-interval work — integer increments — compiled in, which IS
+	// the nil path. Hence: 0 by construction unless a future change adds
+	// allocation to the always-on counter updates; detect that by checking
+	// the nil path's per-interval allocation growth is identical for two run
+	// lengths.
 	run := func(horizon time.Duration) float64 {
 		return testing.AllocsPerRun(10, func() {
 			opt := Options{

@@ -182,6 +182,15 @@ type Loop struct {
 	intervalInstr []float64
 	stallPower    []float64
 
+	// rowSlab backs the per-delta CorePowerW/CoreInstr rows: each delta
+	// carves two full-capacity n-length rows off its front, and an empty
+	// slab is refilled with one explore interval's rows (slabLen floats), so
+	// the one allocation lands on the interval's first delta, the decision
+	// step. Rows are never written after they are appended, so they may
+	// share a backing array.
+	rowSlab []float64
+	slabLen int
+
 	now         time.Duration
 	done        bool
 	degradedRun int // current consecutive rung>0 episode, for LongestDegraded
@@ -268,7 +277,16 @@ func New(sub Substrate, opt Options) (*Loop, error) {
 	res.CorePowerW = make([][]float64, 0, est)
 	res.CoreInstr = make([][]float64, 0, est)
 	res.Modes = make([]modes.Vector, 0, est/opt.DeltasPerExplore+1)
+	if opt.Thermal != nil {
+		res.MaxTempC = make([]float64, 0, est)
+	}
 	l.res = res
+	// A row slab for the whole horizon would save the per-interval refill
+	// too, but at 64 cores it is a megabyte-scale object per run: the
+	// runtime's scavenger then churns its pages, and supervised decisions
+	// miss their wall-clock deadline about twice as often
+	// (TestSupervisorStallAcceptance64).
+	l.slabLen = 2 * n * opt.DeltasPerExplore
 
 	l.emerg, _ = l.decider.(emergencyReporter)
 	l.cand, _ = l.decider.(candidateReporter)
@@ -495,8 +513,7 @@ func (l *Loop) decide() error {
 func (l *Loop) delta() {
 	res, n, deltaSec := l.res, l.n, l.deltaSC
 	l.simmed++
-	rowP := make([]float64, n)
-	rowI := make([]float64, n)
+	rowP, rowI := l.row(), l.row()
 	var chip float64
 	stl := l.stallLeft
 	if stl > deltaSec {
@@ -548,6 +565,17 @@ func (l *Loop) delta() {
 			l.done = true
 		}
 	}
+}
+
+// row carves the next n-length delta row off the loop's slab. The row's
+// capacity is clipped to n, so no append can spill into its neighbour.
+func (l *Loop) row() []float64 {
+	if len(l.rowSlab) < l.n {
+		l.rowSlab = make([]float64, l.slabLen)
+	}
+	r := l.rowSlab[:l.n:l.n]
+	l.rowSlab = l.rowSlab[l.n:]
+	return r
 }
 
 // foldSamples averages the finished explore interval into the samples the

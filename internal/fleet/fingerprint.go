@@ -1,41 +1,28 @@
 package fleet
 
-import (
-	"hash/fnv"
-	"math"
-
-	"gpm/internal/obs"
-)
+import "gpm/internal/obs"
 
 // serveHash folds every request's routing and completion outcome — in
 // canonical arrival order — into one FNV-64a digest. Any drift in arrival
 // generation, placement, admission or completion interpolation moves it.
 func serveHash(reqs []*request) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	wu := func(u uint64) {
-		for i := 0; i < 8; i++ {
-			b[i] = byte(u >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	wf := func(f float64) { wu(math.Float64bits(f)) }
+	h := obs.NewHasher()
 	for _, rq := range reqs {
-		wu(uint64(rq.cohort)<<40 | uint64(rq.client)<<20 | uint64(uint32(rq.seq)))
-		wf(rq.arriveSec)
-		wu(uint64(int64(rq.chip))<<32 | uint64(uint32(rq.core)))
+		h.U64(uint64(rq.cohort)<<40 | uint64(rq.client)<<20 | uint64(uint32(rq.seq)))
+		h.F64(rq.arriveSec)
+		h.U64(uint64(int64(rq.chip))<<32 | uint64(uint32(rq.core)))
 		switch {
 		case rq.shed:
-			wu(1)
+			h.U64(1)
 		case rq.done:
-			wu(2)
-			wf(rq.completeSec)
+			h.U64(2)
+			h.F64(rq.completeSec)
 		default:
-			wu(3)
-			wf(rq.remaining)
+			h.U64(3)
+			h.F64(rq.remaining)
 		}
 	}
-	return h.Sum64()
+	return h.Sum()
 }
 
 // Fingerprint hashes a fleet result bit-exactly: the serving digest, the
@@ -43,35 +30,27 @@ func serveHash(reqs []*request) uint64 {
 // golden the fleet serving path is pinned by, alongside the cmpsim/trace
 // goldens.
 func Fingerprint(r *Result) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	wu := func(u uint64) {
-		for i := 0; i < 8; i++ {
-			b[i] = byte(u >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	wf := func(f float64) { wu(math.Float64bits(f)) }
-	wu(r.ServeHash)
-	wu(uint64(r.Arrived))
-	wu(uint64(r.Completed))
-	wu(uint64(r.Shed))
-	wu(uint64(r.Unfinished))
+	h := obs.NewHasher()
+	h.U64(r.ServeHash)
+	h.U64(uint64(r.Arrived))
+	h.U64(uint64(r.Completed))
+	h.U64(uint64(r.Shed))
+	h.U64(uint64(r.Unfinished))
 	for _, e := range r.EpochLog {
-		wf(float64(e.Start))
-		wf(e.FacilityCapW)
+		h.F64(float64(e.Start))
+		h.F64(e.FacilityCapW)
 		for i := range e.GrantW {
-			wf(e.GrantW[i])
-			wf(e.BacklogInstr[i])
-			wf(e.DemandInstr[i])
+			h.F64(e.GrantW[i])
+			h.F64(e.BacklogInstr[i])
+			h.F64(e.DemandInstr[i])
 		}
 	}
 	for _, cs := range r.Cohorts {
-		wu(uint64(cs.AttainedSLO))
-		wf(cs.ServedInstr)
+		h.U64(uint64(cs.AttainedSLO))
+		h.F64(cs.ServedInstr)
 	}
 	for _, cr := range r.ChipResults {
-		wu(obs.ResultFingerprint(cr))
+		h.U64(obs.ResultFingerprint(cr))
 	}
-	return h.Sum64()
+	return h.Sum()
 }

@@ -119,7 +119,7 @@ type Writer struct {
 	closer  io.Closer
 	err     error
 	records int
-	th      traceHasher
+	th      Hasher
 	guarded bool
 }
 
@@ -127,7 +127,7 @@ type Writer struct {
 // manifest line; replay then needs external configuration). If w is also an
 // io.Closer, Close closes it.
 func NewWriter(w io.Writer, m *Manifest) (*Writer, error) {
-	tw := &Writer{bw: bufio.NewWriter(w), th: newTraceHasher()}
+	tw := &Writer{bw: bufio.NewWriter(w), th: NewHasher()}
 	if c, ok := w.(io.Closer); ok {
 		tw.closer = c
 	}
@@ -152,7 +152,7 @@ func (w *Writer) Decision(t *engine.DecisionTrace) {
 		return
 	}
 	rec := recordOf(t)
-	w.th.add(&rec)
+	hashRecord(&w.th, &rec)
 	b, err := MarshalLine(&Line{Kind: KindDecision, Decision: &rec})
 	if err != nil {
 		w.err = err
@@ -170,7 +170,7 @@ func (w *Writer) RunEnd(r *engine.Result) {
 	if w.err != nil {
 		return
 	}
-	f := footerOf(r, w.records, w.th.sum())
+	f := footerOf(r, w.records, w.th.Sum())
 	f.Guarded = w.guarded || r.EmergencyEntries > 0 || r.SanitizedSamples > 0 ||
 		r.RescaledIntervals > 0 || len(r.DeadCores) > 0 || r.Obs.GuardOverrides > 0
 	b, err := MarshalLine(&Line{Kind: KindFooter, Footer: f})
@@ -205,13 +205,13 @@ func (w *Writer) Close() error {
 type Collector struct {
 	Manifest *Manifest
 	trace    Trace
-	th       traceHasher
+	th       Hasher
 	guarded  bool
 }
 
 // NewCollector builds a collector; m may be nil.
 func NewCollector(m *Manifest) *Collector {
-	c := &Collector{Manifest: m, th: newTraceHasher()}
+	c := &Collector{Manifest: m, th: NewHasher()}
 	if m != nil {
 		mm := *m
 		mm.Schema = SchemaVersion
@@ -224,13 +224,13 @@ func NewCollector(m *Manifest) *Collector {
 // Decision implements engine.Observer.
 func (c *Collector) Decision(t *engine.DecisionTrace) {
 	rec := recordOf(t)
-	c.th.add(&rec)
+	hashRecord(&c.th, &rec)
 	c.trace.Records = append(c.trace.Records, rec)
 }
 
 // RunEnd implements engine.Observer.
 func (c *Collector) RunEnd(r *engine.Result) {
-	f := footerOf(r, len(c.trace.Records), c.th.sum())
+	f := footerOf(r, len(c.trace.Records), c.th.Sum())
 	f.Guarded = c.guarded || r.EmergencyEntries > 0 || r.SanitizedSamples > 0 ||
 		r.RescaledIntervals > 0 || len(r.DeadCores) > 0 || r.Obs.GuardOverrides > 0
 	c.trace.Footer = f

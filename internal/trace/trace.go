@@ -222,7 +222,7 @@ func (p *Player) Phase() int {
 func (p *Player) Behavior(m modes.Mode) (powerW, ratePerSec float64) {
 	period := p.pr.PeriodInstr
 	pos := p.pos - float64(uint64(p.pos/period))*period
-	b := p.pr.Behavior[m][p.pr.phaseAt(pos)]
+	b := &p.pr.Behavior[m][p.pr.phaseAt(pos)]
 	rj, pj := p.pr.jitter(uint64(p.pos / jitterChunk))
 	return b.PowerW * pj, b.RatePerSec * rj
 }
@@ -240,7 +240,7 @@ func (p *Player) Advance(m modes.Mode, seconds float64) (energyJ, instr float64)
 		period := p.pr.PeriodInstr
 		posInPeriod := p.pos - float64(uint64(p.pos/period))*period
 		ph := p.pr.phaseAt(posInPeriod)
-		b := p.pr.Behavior[m][ph]
+		b := &p.pr.Behavior[m][ph]
 		rj, pj := p.pr.jitter(uint64(p.pos / jitterChunk))
 		rate := b.RatePerSec * rj
 		pw := b.PowerW * pj
