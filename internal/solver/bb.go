@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"gpm/internal/modes"
@@ -213,14 +214,25 @@ func (b *BB) Solve(in Instance) (modes.Vector, Stats) {
 // checkpoint in cpBatch batches; an exhausted checkpoint stops the DFS at
 // its incumbent, exactly like an exceeded NodeLimit.
 func (b *BB) SolveBounded(in Instance, cp *Checkpoint) (modes.Vector, Stats) {
-	v, st, _ := b.solve(in, cp, &bbScratch{}, nil)
+	sc, _ := coldScratch.Get().(*bbScratch)
+	if sc == nil {
+		sc = &bbScratch{}
+	}
+	v, st, _ := b.solve(in, cp, sc, nil)
+	v = slices.Clone(v) // v aliases sc, which goes back to the pool
+	coldScratch.Put(sc)
 	return v, st
 }
 
+// coldScratch recycles cold solves' bbScratch, so a cold solve allocates
+// only its returned vector. solve rebuilds every field it reads, and a
+// Session already reuses one scratch across instances of any shape.
+var coldScratch sync.Pool
+
 // bbScratch is BB's reusable machinery: the frontier (with its sort
-// scratch), the greedy seed's scratch and the DFS state. A cold solve uses a
-// fresh one; a Session owns one, so its warm solves allocate nothing in
-// steady state.
+// scratch), the greedy seed's scratch and the DFS state. Cold solves take
+// one from coldScratch; a Session owns one, so its warm solves allocate
+// nothing in steady state.
 type bbScratch struct {
 	frontier frontier
 	greedy   greedyScratch
@@ -272,6 +284,9 @@ func (b *BB) solve(in Instance, cp *Checkpoint, sc *bbScratch, hint modes.Vector
 	v, best := s.v, s.best
 	*s = bbState{in: in, f: f, limit: b.NodeLimit, lexTies: b.LexTies, cp: cp, v: v, best: best}
 	s.bestT, s.bestP = -1, 0
+	if cp != nil && cp.timed {
+		s.clockEvery = max(1, bbClockWork/(len(f.segs)+1))
+	}
 	if seedFeasible {
 		s.floor = gt
 		if !b.LexTies {
@@ -310,6 +325,12 @@ func (b *BB) solve(in Instance, cp *Checkpoint, sc *bbScratch, hint modes.Vector
 	return s.best, st, floored
 }
 
+// bbClockWork is the bound work, in hull segments scanned, between a timed
+// DFS's own wall-clock reads. Every node's bound scans all segments, so at
+// 64 cores Checkpoint's 256-node clockStride alone let a 50 µs solve run on
+// about as long again before it saw its deadline.
+const bbClockWork = 2048
+
 type bbState struct {
 	in      Instance
 	f       *frontier
@@ -330,6 +351,9 @@ type bbState struct {
 	// and a pre-latched checkpoint observed by a later Visit.
 	cpHit  bool
 	cpDebt int64
+	// clockEvery is the node stride of the DFS's wall-clock reads under a
+	// timed checkpoint (0 = untimed, no reads); sinceClock counts towards it.
+	clockEvery, sinceClock int
 }
 
 func (s *bbState) rec(c int, usedP, usedI float64) {
@@ -350,6 +374,16 @@ func (s *bbState) rec(c int, usedP, usedI float64) {
 				s.aborted = true
 				s.cpHit = true
 				return
+			}
+		}
+		if s.clockEvery > 0 {
+			if s.sinceClock++; s.sinceClock >= s.clockEvery {
+				s.sinceClock = 0
+				if s.cp.expired() {
+					s.aborted = true
+					s.cpHit = true
+					return
+				}
 			}
 		}
 	}

@@ -12,8 +12,10 @@ import (
 // clockStride is the number of visited nodes between wall-clock reads in a
 // timed Checkpoint. Reading the clock per node would dominate the hot loops;
 // a stride of 256 bounds the overshoot past the deadline to the time of 256
-// node evaluations (sub-microsecond for every solver) while keeping the
-// steady-state cost to one atomic load per node batch.
+// node evaluations while keeping the steady-state cost to one atomic load
+// per node batch. That is sub-microsecond for the enumerative solvers; BB's
+// nodes each scan the whole relaxation, so its DFS also reads the clock on a
+// work-based stride (bbClockWork).
 const clockStride = 256
 
 // cpBatch is how many nodes the enumerative hot loops accumulate locally
@@ -82,6 +84,19 @@ func (cp *Checkpoint) Visit(n int64) bool {
 		}
 	}
 	return false
+}
+
+// expired reads the wall clock and reports whether a timed checkpoint's
+// deadline has passed, latching it as Visit does. Unlike Visit it charges no
+// nodes and ignores the latched flag, so node budgets keep their exact abort
+// points. Solvers whose nodes cost more than clockStride can absorb call it
+// on their own, tighter stride. Safe on a nil receiver (never expires).
+func (cp *Checkpoint) expired() bool {
+	if cp == nil || !cp.timed || time.Now().Before(cp.deadline) {
+		return false
+	}
+	cp.aborted.Store(true)
+	return true
 }
 
 // nodesLeft returns how many more nodes the node budget admits

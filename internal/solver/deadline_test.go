@@ -112,6 +112,35 @@ func TestWallDeadlineAborts(t *testing.T) {
 	assertFeasibleOrFloor(t, "exhaustive", in, v)
 }
 
+// TestBBExpiredDeadlineStopsDFSPromptly pins BB's work-based clock reads.
+// At 64 cores every node's bound scans ~190 hull segments, so a DFS that
+// only read the clock through Checkpoint.Visit ran on for a 64-node batch
+// (or the 256-node clockStride) past its deadline: about a 50 µs deadline's
+// worth again. With the deadline already gone, the DFS must stop within a
+// few nodes and still return a feasible incumbent.
+func TestBBExpiredDeadlineStopsDFSPromptly(t *testing.T) {
+	in := randInstance(5, 64, plan3(), 0.7)
+	for _, lex := range []bool{false, true} {
+		v, st := WithDeadline(&BB{LexTies: lex}, time.Nanosecond, 0).Solve(in)
+		if !st.Aborted || st.Exact {
+			t.Fatalf("lex=%v: expired deadline not reported: %+v", lex, st)
+		}
+		if st.Nodes >= cpBatch {
+			t.Fatalf("lex=%v: DFS visited %d nodes past an expired deadline, want < %d", lex, st.Nodes, cpBatch)
+		}
+		assertFeasibleOrFloor(t, "bb", in, v)
+	}
+	// Node budgets keep their exact abort points: the work-based clock reads
+	// only run under a wall deadline, so an untimed DFS still stops only at
+	// a cpBatch flush.
+	for _, nodes := range []int64{100, 1000} {
+		_, st := WithDeadline(&BB{}, 0, nodes).Solve(in)
+		if !st.Aborted || st.Nodes%cpBatch != 0 {
+			t.Fatalf("node budget %d: aborted=%v after %d DFS nodes, want a multiple of %d", nodes, st.Aborted, st.Nodes, cpBatch)
+		}
+	}
+}
+
 // TestExternalAbort pins the supervisor's abandon path: a pre-aborted
 // checkpoint makes every solver return immediately with a feasible vector.
 func TestExternalAbort(t *testing.T) {

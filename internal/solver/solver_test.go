@@ -208,6 +208,35 @@ func TestFrontierFastSortMatchesReference(t *testing.T) {
 	}
 }
 
+// TestBBColdScratchReuse pins the pooled cold-solve scratch: cold solves of
+// instances whose core and mode counts change from call to call match
+// solves on a fresh scratch (vector and node count, both tie modes), and a
+// returned vector is the caller's own, untouched by later solves.
+func TestBBColdScratchReuse(t *testing.T) {
+	var got, want []modes.Vector
+	for seed := int64(0); seed < 60; seed++ {
+		plan := plan3()
+		if seed%2 == 1 {
+			plan = modes.Linear(5, 0.6, 1.300, 0.010)
+		}
+		in := randInstance(seed+300, 1+int(seed*7%13), plan, 0.4+0.1*float64(seed%5))
+		b := &BB{LexTies: seed%3 == 0}
+		fv, fst, _ := b.solve(in, nil, &bbScratch{}, nil)
+		v, st := b.Solve(in)
+		if !v.Equal(fv) || st.Nodes != fst.Nodes {
+			t.Fatalf("seed %d: pooled cold solve %v (%d nodes) != fresh scratch %v (%d nodes)",
+				seed, v, st.Nodes, fv, fst.Nodes)
+		}
+		got = append(got, v)
+		want = append(want, v.Clone())
+	}
+	for i := range got {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("solve %d: returned vector changed to %v after later solves, want %v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestBBNodeLimitReturnsFeasibleIncumbent(t *testing.T) {
 	in := randInstance(3, 24, plan3(), 0.8)
 	bb := &BB{NodeLimit: 10}
