@@ -19,8 +19,9 @@ vet: build
 test: vet
 	$(GO) test $(GOTESTFLAGS) ./...
 
-# The resilience sweep, sharded solvers and experiment drivers fan out across
-# goroutines; run the suite under the race detector before shipping. CI gates
+# The resilience sweep, Hier's per-cluster solves, fullsim stepping and the
+# experiment drivers fan out across goroutines; run the suite under the race
+# detector before shipping. CI gates
 # this leg to the short test set (GOTESTFLAGS=-short) to bound wall-clock.
 race: vet
 	$(GO) test -race $(GOTESTFLAGS) ./...
@@ -28,11 +29,14 @@ race: vet
 check: race
 
 # Machine-readable solver benchmarks: ns/op, B/op, allocs/op and nodes/op per
-# solver at 8/16/64/256 cores (plus the 1024-core hierarchical decision), and
-# engine decision-loop benchmarks (ns/decision across manager + middleware
-# configurations on the synthetic substrate).
+# solver at 4/8/16/64/256 cores (plus the 1024-core hierarchical decision and
+# the MaxBIPS policy's decision at the paper's 4 and 8 cores), and engine
+# decision-loop benchmarks (ns/decision across manager + middleware
+# configurations on the synthetic substrate). Every row records GOMAXPROCS,
+# the CPU model and the Go version.
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkSolver$$|BenchmarkSolverWarm|BenchmarkHier1024|BenchmarkDeadlineSolver' -benchmem ./internal/solver \
+	( $(GO) test -run '^$$' -bench 'BenchmarkSolver$$|BenchmarkSolverWarm|BenchmarkHier1024|BenchmarkDeadlineSolver' -benchmem ./internal/solver ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkSelectMaxThroughput' -benchmem ./internal/core ) \
 		| $(GO) run ./cmd/benchjson > BENCH_solver.json
 	@echo wrote BENCH_solver.json
 	$(GO) test -run '^$$' -bench 'BenchmarkEngine$$' -benchmem ./internal/engine \

@@ -5,8 +5,11 @@
 //
 // Each object carries the benchmark name, GOMAXPROCS suffix, iteration count,
 // and every reported metric keyed by its unit (ns/op, B/op, allocs/op, and
-// any b.ReportMetric custom units such as nodes/op). Non-benchmark lines are
-// ignored, so the full `go test` output can be piped through unfiltered.
+// any b.ReportMetric custom units such as nodes/op). Each object also records
+// the host it ran on: the CPU model from `go test`'s "cpu:" header and the Go
+// version benchjson was built with, which under `go run` is the toolchain
+// that ran the benchmarks. Other non-benchmark lines are ignored, so the full
+// `go test` output can be piped through unfiltered.
 //
 // With -check baseline.json, benchjson instead compares the fresh results
 // against a committed baseline and exits non-zero on allocation regressions:
@@ -29,8 +32,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -39,6 +44,8 @@ import (
 type Result struct {
 	Name       string             `json:"name"`
 	Procs      int                `json:"procs,omitempty"`
+	CPU        string             `json:"cpu,omitempty"`
+	Go         string             `json:"go,omitempty"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
 }
@@ -52,20 +59,10 @@ func main() {
 	nsCap := flag.String("ns-cap", "", "comma-separated regex=ns pairs pinning absolute ns/op ceilings on fresh rows")
 	flag.Parse()
 
-	var results []Result
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		if r, ok := parseLine(sc.Text()); ok {
-			results = append(results, r)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	results, err := parseAll(os.Stdin, runtime.Version())
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
-	}
-	if results == nil {
-		results = []Result{}
 	}
 	if *check != "" {
 		if err := checkBaseline(results, *check, *match, *slack, *nsMatch, *nsSlack); err != nil {
@@ -206,6 +203,25 @@ func checkCaps(fresh []Result, spec string) error {
 		}
 	}
 	return nil
+}
+
+// parseAll reads `go test -bench` output and returns its benchmark rows,
+// each tagged with the most recent "cpu:" header and goVersion.
+func parseAll(in io.Reader, goVersion string) ([]Result, error) {
+	results := []Result{}
+	var cpu string
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	for sc.Scan() {
+		line := sc.Text()
+		if model, ok := strings.CutPrefix(line, "cpu: "); ok {
+			cpu = strings.TrimSpace(model)
+		} else if r, ok := parseLine(line); ok {
+			r.CPU, r.Go = cpu, goVersion
+			results = append(results, r)
+		}
+	}
+	return results, sc.Err()
 }
 
 // parseLine decodes the standard benchmark format:

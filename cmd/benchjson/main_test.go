@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -41,6 +42,36 @@ func TestParseLine(t *testing.T) {
 		if _, ok := parseLine(bad); ok {
 			t.Fatalf("line %q should not parse", bad)
 		}
+	}
+}
+
+func TestParseAllRecordsHost(t *testing.T) {
+	out := `goos: linux
+goarch: amd64
+pkg: gpm/internal/solver
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkSolver/bb/cores=8-2    1000    5190 ns/op
+PASS
+cpu: Other CPU
+BenchmarkEngine/warm/cores=4-2    3    1234 ns/op
+`
+	rows, err := parseAll(strings.NewReader(out), "go1.24.0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 {
+		t.Fatalf("%d rows, want 2", len(rows))
+	}
+	if rows[0].CPU != "Intel(R) Xeon(R) Processor @ 2.10GHz" || rows[1].CPU != "Other CPU" {
+		t.Fatalf("cpu %q, %q", rows[0].CPU, rows[1].CPU)
+	}
+	for _, r := range rows {
+		if r.Go != "go1.24.0" || r.Procs != 2 {
+			t.Fatalf("%s: go %q procs %d", r.Name, r.Go, r.Procs)
+		}
+	}
+	if rows, err := parseAll(strings.NewReader("PASS\n"), "go1.24.0"); err != nil || rows == nil || len(rows) != 0 {
+		t.Fatalf("no benchmark lines: rows %v err %v, want an empty non-nil slice", rows, err)
 	}
 }
 

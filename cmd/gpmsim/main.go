@@ -529,8 +529,9 @@ func solverOpts() solver.Options {
 }
 
 func custom(env *experiment.Env) error {
-	// -solver X names the registry policy that runs solver X: the
-	// exhaustive and greedy kernels are maxbips and greedy themselves.
+	// -solver X names the registry policy that runs solver X: exhaustive
+	// names maxbips, whose kernel returns the enumeration's vector at every
+	// width, and greedy names greedy.
 	name := strings.ToLower(*flagPolicy)
 	switch s := strings.ToLower(*flagSolver); s {
 	case "":

@@ -107,14 +107,15 @@ type Solver = solver.Solver
 // abort status, and wall-clock.
 type SolverStats = solver.Stats
 
-// SolverOptions tunes SolverByName: hierarchy cluster size, worker and
-// branch-and-bound node caps. Zero fields select defaults.
+// SolverOptions tunes SolverByName: hierarchy cluster size and the
+// branch-and-bound node cap. Zero fields select defaults.
 type SolverOptions = solver.Options
 
-// SolverByName resolves an allocation solver: exhaustive (the MaxBIPS
-// enumeration, sharded across goroutines on large chips), bb (exact
-// branch-and-bound; µs–ms at 64+ cores), hier (two-level clustered; scales
-// to 1024 cores), or greedy.
+// SolverByName resolves an allocation solver: exhaustive (the sequential
+// MaxBIPS enumeration), bb (exact branch-and-bound; µs–ms at 64+ cores),
+// hier (two-level clustered; scales to 1024 cores), or greedy. The MaxBIPS
+// policy itself enumerates small chips and runs lexicographic-tie bb on
+// larger ones.
 func SolverByName(name string, opt SolverOptions) (Solver, error) { return solver.New(name, opt) }
 
 // SolverNames lists the SolverByName registry.
@@ -171,7 +172,7 @@ type SolverScalingOptions = experiment.SolverScalingOptions
 // PolicyByName resolves a policy from its CLI name
 // (maxbips|greedy|priority|pullhipushlo|chipwide|oracle|stable|fairness|
 // hierarchical|maxbips-bb|maxbips-hier). MaxBIPS and greedy run the
-// exhaustive and greedy solver kernels, and hierarchical is Hierarchical(4);
+// exact and greedy solver kernels, and hierarchical is Hierarchical(4);
 // the maxbips-* names return a fresh session-capable policy (see
 // SessionSolverPolicy), so resolve one per run.
 func PolicyByName(name string) (Policy, error) { return core.Registry(name) }

@@ -67,9 +67,9 @@ func TestGreedyTieBreaksToLowestCore(t *testing.T) {
 	}
 }
 
-// TestSolverPoliciesMatchExhaustiveKernel checks the wired policies: the
-// exact solver-backed policies must reproduce MaxBIPS decisions on contexts
-// small enough for the kernel.
+// TestSolverPoliciesMatchExhaustiveKernel checks the wired policies: MaxBIPS
+// and the exact solver-backed policies must reproduce the exhaustive
+// kernel's decisions on contexts small enough for it.
 func TestSolverPoliciesMatchExhaustiveKernel(t *testing.T) {
 	p := plan()
 	pred := predictor()
@@ -83,8 +83,8 @@ func TestSolverPoliciesMatchExhaustiveKernel(t *testing.T) {
 	}
 	for _, frac := range []float64{0.62, 0.75, 0.9} {
 		ctx := Context{Plan: p, Current: cur, BudgetW: frac * turbo, Matrices: mx}
-		want := MaxBIPS{}.Decide(ctx)
-		for _, name := range []string{"maxbips-bb"} {
+		want := SolverPolicy{Solver: &solver.Exhaustive{}}.Decide(ctx)
+		for _, name := range []string{"maxbips", "maxbips-bb"} {
 			pol, err := Registry(name)
 			if err != nil {
 				t.Fatal(err)
@@ -165,8 +165,9 @@ func lexLess(a, b modes.Vector) bool {
 	return false
 }
 
-// BenchmarkSelectMaxThroughput measures MaxBIPS.Decide — one exhaustive
-// decision through solver.Exhaustive — at the paper's 4- and 8-core widths.
+// BenchmarkSelectMaxThroughput measures MaxBIPS.Decide — one decision through
+// solver.MaxBIPS — at the paper's 4- and 8-core widths, where it enumerates
+// and runs lexicographic-tie BB respectively.
 func BenchmarkSelectMaxThroughput(b *testing.B) {
 	p := plan()
 	for _, n := range []int{4, 8} {

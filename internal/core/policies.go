@@ -12,8 +12,10 @@ import (
 // predicted Power/BIPS Matrices and pick the highest-throughput combination
 // that satisfies the budget. Ties break toward lower power, then toward the
 // lexicographically smallest vector (fastest low-index cores), making the
-// policy fully deterministic. The enumeration is solver.Exhaustive, which
-// runs small chips on the calling goroutine and shards large ones.
+// policy fully deterministic. The kernel is solver.MaxBIPS: it enumerates
+// small chips with solver.Exhaustive and solves larger ones (the paper's
+// 8-core chips) with branch-and-bound in lexicographic-tie mode, which
+// returns the same vector.
 type MaxBIPS struct{}
 
 // Name implements Policy.
@@ -25,15 +27,12 @@ func (MaxBIPS) Decide(ctx Context) modes.Vector {
 }
 
 // selectMaxThroughput is the MaxBIPS selection over the first n cores of a
-// (power, instr) matrix pair: solver.Exhaustive, which returns the
-// all-deepest vector when no combination fits the budget.
+// (power, instr) matrix pair: solver.MaxBIPS, which returns the all-deepest
+// vector when no combination fits the budget.
 func selectMaxThroughput(plan modes.Plan, n int, budgetW float64, mx Matrices) modes.Vector {
-	v, _ := exhaustive.Solve(kernelInstance(plan, n, budgetW, mx))
+	v, _ := solver.MaxBIPS(kernelInstance(plan, n, budgetW, mx))
 	return v
 }
-
-// exhaustive is the shared, stateless MaxBIPS kernel (default Workers).
-var exhaustive solver.Exhaustive
 
 // kernelInstance frames the first n cores of mx as a solver instance.
 func kernelInstance(plan modes.Plan, n int, budgetW float64, mx Matrices) solver.Instance {
@@ -307,10 +306,10 @@ func Registry(name string) (Policy, error) {
 }
 
 // SolverRegistry is Registry with solver parameters (hierarchy cluster
-// size, worker and node caps). A maxbips-<solver> name returns a
+// size and node cap). A maxbips-<solver> name returns a
 // fresh session-capable *SolverPolicy (NewSolverPolicy): the engine loop
 // that adopts it warm-starts every decision, so each run needs its own.
-// The exhaustive and greedy kernels are MaxBIPS ("maxbips") and
+// The exact and greedy kernels are MaxBIPS ("maxbips") and
 // GreedyMaxBIPS ("greedy") themselves.
 func SolverRegistry(name string, opt solver.Options) (Policy, error) {
 	switch name {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"gpm/internal/core"
 	"gpm/internal/modes"
 	"gpm/internal/solver"
 	"gpm/internal/workload"
@@ -42,8 +43,9 @@ func instanceForCombo(t *testing.T, e *Env, combo workload.Combo, budgetFrac flo
 }
 
 // TestGoldenBBOnSeedWorkloads is the acceptance golden: on every 8-core
-// Table 2 combo and every budget, branch-and-bound (lex-tie mode) must return
-// a vector bit-identical to the exhaustive reference.
+// Table 2 combo and every budget, branch-and-bound (lex-tie mode) and the
+// MaxBIPS policy must return a vector bit-identical to the exhaustive
+// reference.
 func TestGoldenBBOnSeedWorkloads(t *testing.T) {
 	e := env(t)
 	combos, err := workload.Combos(8)
@@ -67,13 +69,18 @@ func TestGoldenBBOnSeedWorkloads(t *testing.T) {
 			if !bbV.Equal(exV) {
 				t.Fatalf("%s @%.0f%%: bb %v, exhaustive %v", combo.ID, frac*100, bbV, exV)
 			}
+			ctx := core.Context{Plan: in.Plan, Current: modes.Uniform(combo.Cores(), modes.Turbo),
+				BudgetW: in.BudgetW, Matrices: core.Matrices{Power: in.Power, Instr: in.Instr}}
+			if v := (core.MaxBIPS{}).Decide(ctx); !v.Equal(exV) {
+				t.Fatalf("%s @%.0f%%: MaxBIPS %v, exhaustive %v", combo.ID, frac*100, v, exV)
+			}
 		}
 	}
 }
 
 // TestGoldenSimDecisionsBitIdentical runs the end-to-end check: full CMP
-// simulations under MaxBIPS vs the BB-backed policy must make identical
-// decisions at every explore interval.
+// simulations under the exhaustive enumeration vs the BB-backed policy must
+// make identical decisions at every explore interval.
 func TestGoldenSimDecisionsBitIdentical(t *testing.T) {
 	e := env(t).ShortHorizon(10 * time.Millisecond)
 	combos, err := workload.Combos(8)
@@ -94,7 +101,7 @@ func TestGoldenSimDecisionsBitIdentical(t *testing.T) {
 				t.Fatalf("combo %d @%.0f%%: no decisions recorded", i, frac*100)
 			}
 			if !same {
-				t.Fatalf("combo %d @%.0f%%: bb decisions diverged from MaxBIPS over %d intervals", i, frac*100, decisions)
+				t.Fatalf("combo %d @%.0f%%: bb decisions diverged from exhaustive over %d intervals", i, frac*100, decisions)
 			}
 		}
 	}

@@ -311,9 +311,9 @@ func (b *BB) solve(in Instance, cp *Checkpoint, sc *bbScratch, hint modes.Vector
 	st.Exact = !s.aborted
 	// Report only this solve's own checkpoint trips. Reading the shared
 	// checkpoint's latched flag here would let a concurrent sibling (another
-	// cluster goroutine under Hier, another exhaustive shard) that tripped the
-	// budget mark THIS completed exact solve as aborted — inconsistent stats
-	// (Exact && Aborted) and a lost memo entry.
+	// cluster goroutine under Hier) that tripped the budget mark THIS
+	// completed exact solve as aborted — inconsistent stats (Exact &&
+	// Aborted) and a lost memo entry.
 	st.Aborted = s.cpHit
 	st.Elapsed = time.Since(start)
 	if !s.have {

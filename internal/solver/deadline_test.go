@@ -59,44 +59,33 @@ func TestDeadlinePassthroughBitIdentical(t *testing.T) {
 }
 
 // TestNodeBudgetDeterministicAbort pins that a node budget cuts the solve at
-// the same point every run: identical vectors and abort flags across reruns
-// and across Workers ∈ {1, 2, 4}, and the incumbent is always feasible (or
-// the deepest floor).
+// the same point every run: identical vectors and abort flags across reruns,
+// and the incumbent is always feasible (or the deepest floor).
 func TestNodeBudgetDeterministicAbort(t *testing.T) {
 	for _, name := range Names() {
 		for _, nodes := range []int64{1, 16, 1000, 50_000} {
 			in := randInstance(nodes+7, 10, plan3(), 0.7)
-			var v0 modes.Vector
-			var aborted0 bool
-			for _, workers := range []int{1, 2, 4} {
-				s, err := New(name, Options{Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				d := WithDeadline(s, 0, nodes)
-				v1, st1 := d.Solve(in)
-				v1 = v1.Clone()
-				v2, st2 := d.Solve(in)
-				if !v1.Equal(v2) || st1.Aborted != st2.Aborted {
-					t.Fatalf("%s nodes=%d workers=%d: nondeterministic abort: %v/%v vs %v/%v",
-						name, nodes, workers, v1, st1.Aborted, v2, st2.Aborted)
-				}
-				if workers == 1 {
-					v0, aborted0 = v1, st1.Aborted
-				} else if !v1.Equal(v0) || st1.Aborted != aborted0 {
-					t.Fatalf("%s nodes=%d: workers=%d gives %v/%v, workers=1 gives %v/%v",
-						name, nodes, workers, v1, st1.Aborted, v0, aborted0)
-				}
-				assertFeasibleOrFloor(t, name, in, v1)
-				if st1.Aborted && st1.Exact {
-					t.Fatalf("%s nodes=%d: aborted solve claims exactness", name, nodes)
-				}
+			s, err := New(name, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := WithDeadline(s, 0, nodes)
+			v1, st1 := d.Solve(in)
+			v1 = v1.Clone()
+			v2, st2 := d.Solve(in)
+			if !v1.Equal(v2) || st1.Aborted != st2.Aborted {
+				t.Fatalf("%s nodes=%d: nondeterministic abort: %v/%v vs %v/%v",
+					name, nodes, v1, st1.Aborted, v2, st2.Aborted)
+			}
+			assertFeasibleOrFloor(t, name, in, v1)
+			if st1.Aborted && st1.Exact {
+				t.Fatalf("%s nodes=%d: aborted solve claims exactness", name, nodes)
 			}
 		}
 	}
 }
 
-// TestWallDeadlineAborts drives the sharded exhaustive solver into a large
+// TestWallDeadlineAborts drives the exhaustive solver into a large
 // instance with a 1 ns wall budget: the solve must abort (cooperatively, at
 // a checkpoint) and still return a feasible incumbent.
 func TestWallDeadlineAborts(t *testing.T) {

@@ -12,7 +12,11 @@ import (
 //
 //	exhaustive == branch-and-bound ≥ greedy
 //
-// together with budget feasibility of every returned vector.
+// together with budget feasibility of every returned vector. At widths from
+// bbMinVectors up it also pins MaxBIPS's routing: MaxBIPS must run BB and
+// return the sequential Exhaustive vector, on random instances at 8–10
+// cores and on fully symmetric ones (every core the same row, the
+// tie-heavy case) at 8–12.
 func TestSolverOrderingProperty(t *testing.T) {
 	plans := []modes.Plan{plan3(), modes.Linear(4, 0.75, 1.300, 0.010)}
 	seeds := 40
@@ -57,6 +61,32 @@ func TestSolverOrderingProperty(t *testing.T) {
 			if !exSt.Exact || !bbSt.Exact {
 				t.Fatalf("plan=%d seed=%d: exact solvers not flagged exact", pi, seed)
 			}
+		}
+	}
+
+	var wide []Instance
+	for n := 8; n <= 10; n++ {
+		for pi, plan := range plans {
+			for _, frac := range []float64{0.5, 0.7, 0.9} {
+				wide = append(wide, randInstance(int64(n*100+pi*10)+int64(frac*10), n, plan, frac))
+			}
+		}
+	}
+	for n := 8; n <= 12; n++ {
+		for _, frac := range []float64{0.6, 0.75, 0.9} {
+			wide = append(wide, replicatedInstance(n, plan3(), frac))
+		}
+	}
+	for _, in := range wide {
+		exV, _ := (&Exhaustive{}).Solve(in)
+		got, st := MaxBIPS(in)
+		if st.Solver != "bb" || !st.Exact {
+			t.Fatalf("n=%d modes=%d budget=%g: MaxBIPS ran %s (exact=%v), want exact bb",
+				in.NumCores(), in.NumModes(), in.BudgetW, st.Solver, st.Exact)
+		}
+		if !got.Equal(exV) {
+			t.Fatalf("n=%d modes=%d budget=%g: MaxBIPS %v != exhaustive %v",
+				in.NumCores(), in.NumModes(), in.BudgetW, got, exV)
 		}
 	}
 }

@@ -382,9 +382,8 @@ func TestOptionsValidate(t *testing.T) {
 		field string // "" = valid
 	}{
 		{"zero", Options{}, ""},
-		{"positive", Options{ClusterSize: 4, Workers: 2, NodeLimit: 1000}, ""},
+		{"positive", Options{ClusterSize: 4, NodeLimit: 1000}, ""},
 		{"neg-cluster", Options{ClusterSize: -1}, "ClusterSize"},
-		{"neg-workers", Options{Workers: -2}, "Workers"},
 		{"neg-nodelimit", Options{NodeLimit: -1}, "NodeLimit"},
 	}
 	for _, tc := range cases {

@@ -8,9 +8,7 @@
 // decision out of internal/core into pluggable solvers behind one interface,
 // all proven against the exhaustive kernel:
 //
-//   - Exhaustive: the brute-force reference and MaxBIPS kernel, sharded
-//     across worker goroutines on large instances so the tractable range
-//     stretches a few cores further.
+//   - Exhaustive: the brute-force sequential reference enumeration.
 //   - BB: exact branch-and-bound seeded with the greedy incumbent and pruned
 //     by a fractional (convex-hull water-filling) relaxation upper bound —
 //     exact answers at 64+ cores in microseconds to milliseconds.
@@ -21,8 +19,10 @@
 //     incumbent seed for BB and Hier.
 //
 // Exhaustive and Greedy are the only exhaustive and greedy kernels in the
-// module: core.MaxBIPS (and the policies built on it) and
-// core.GreedyMaxBIPS are thin wrappers over them.
+// module. MaxBIPS picks one exact kernel per instance size — Exhaustive
+// below bbMinVectors vectors, lexicographic-tie BB from there up — and
+// core.MaxBIPS (and the policies built on it) and core.GreedyMaxBIPS are
+// thin wrappers over MaxBIPS and Greedy.
 //
 // All solvers are deterministic: ties on predicted throughput resolve to
 // lower power, then to the lexicographically smallest vector, matching the
@@ -121,8 +121,6 @@ type Stats struct {
 	// UpperBoundInstr is the fractional-relaxation throughput upper bound
 	// when the solver computed one (BB's root bound).
 	UpperBoundInstr float64
-	// Workers is the goroutine count used by parallel solvers.
-	Workers int
 	// Elapsed is the wall-clock duration of the Solve call.
 	Elapsed time.Duration
 	// Aborted reports that the solve was cut short by a Checkpoint (wall
@@ -146,23 +144,18 @@ type Solver interface {
 type Options struct {
 	// ClusterSize is Hier's cores-per-cluster (default 8).
 	ClusterSize int
-	// Workers bounds the goroutines of parallel solvers (default GOMAXPROCS).
-	Workers int
 	// NodeLimit caps BB's branch nodes; 0 means unlimited. When the cap is
 	// hit BB returns its incumbent with Exact=false.
 	NodeLimit int64
 }
 
 // Validate checks Options for values that would silently misbehave inside
-// the solvers (a negative cluster size degenerates Hier, negative worker or
-// node counts read as "unlimited").
+// the solvers (a negative cluster size degenerates Hier, a negative node
+// count reads as "unlimited").
 // All failures are *OptionError.
 func (opt Options) Validate() error {
 	if opt.ClusterSize < 0 {
 		return &OptionError{Field: "ClusterSize", Value: opt.ClusterSize, Reason: "must be non-negative (0 selects the default)"}
-	}
-	if opt.Workers < 0 {
-		return &OptionError{Field: "Workers", Value: opt.Workers, Reason: "must be non-negative (0 selects GOMAXPROCS)"}
 	}
 	if opt.NodeLimit < 0 {
 		return &OptionError{Field: "NodeLimit", Value: opt.NodeLimit, Reason: "must be non-negative (0 means unlimited)"}
@@ -198,7 +191,7 @@ func New(name string, opt Options) (Solver, error) {
 	}
 	switch name {
 	case "exhaustive":
-		return &Exhaustive{Workers: opt.Workers}, nil
+		return &Exhaustive{}, nil
 	case "bb":
 		return &BB{NodeLimit: opt.NodeLimit}, nil
 	case "hier":

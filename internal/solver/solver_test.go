@@ -55,7 +55,7 @@ func replicatedInstance(n int, plan modes.Plan, budgetFrac float64) Instance {
 // referenceSolve is an independent sequential re-implementation of the
 // exhaustive kernel (lexicographic odometer + strict improvement, the
 // MaxBIPS rule: a vector fits unless its power exceeds the budget), kept
-// deliberately simple to cross-check the sharded solver.
+// deliberately simple to cross-check the prefix-sum enumeration.
 func referenceSolve(in Instance) modes.Vector {
 	n, m := in.NumCores(), in.NumModes()
 	best := in.deepestVector()
@@ -85,24 +85,21 @@ func referenceSolve(in Instance) modes.Vector {
 	}
 }
 
-func TestExhaustiveShardingMatchesSequentialReference(t *testing.T) {
+func TestExhaustiveMatchesSequentialReference(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 8} {
 		for _, frac := range []float64{0.55, 0.8, 1.0} {
 			in := randInstance(int64(n)*100+int64(frac*100), n, plan3(), frac)
 			want := referenceSolve(in)
-			for _, workers := range []int{1, 3, 8} {
-				ex := &Exhaustive{Workers: workers}
-				got, st := ex.Solve(in)
-				if !got.Equal(want) {
-					t.Fatalf("n=%d frac=%.2f workers=%d: sharded %v != reference %v", n, frac, workers, got, want)
-				}
-				if !st.Exact {
-					t.Fatalf("exhaustive not exact")
-				}
-				wantNodes := int64(math.Pow(float64(in.NumModes()), float64(n)))
-				if st.Nodes != wantNodes {
-					t.Fatalf("n=%d workers=%d: visited %d vectors, want %d", n, workers, st.Nodes, wantNodes)
-				}
+			got, st := (&Exhaustive{}).Solve(in)
+			if !got.Equal(want) {
+				t.Fatalf("n=%d frac=%.2f: exhaustive %v != reference %v", n, frac, got, want)
+			}
+			if !st.Exact {
+				t.Fatalf("exhaustive not exact")
+			}
+			wantNodes := int64(math.Pow(float64(in.NumModes()), float64(n)))
+			if st.Nodes != wantNodes {
+				t.Fatalf("n=%d: visited %d vectors, want %d", n, st.Nodes, wantNodes)
 			}
 		}
 	}
@@ -320,7 +317,7 @@ func TestInfeasibleBudgetReturnsAllDeepest(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	for _, name := range Names() {
-		s, err := New(name, Options{ClusterSize: 4, Workers: 2, NodeLimit: 1000})
+		s, err := New(name, Options{ClusterSize: 4, NodeLimit: 1000})
 		if err != nil {
 			t.Fatal(err)
 		}
