@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"gpm/internal/core"
+	"gpm/internal/engine"
 	"gpm/internal/modes"
 	"gpm/internal/obs"
 	"gpm/internal/solver"
@@ -196,29 +197,12 @@ func Replay(t *obs.Trace, opt ReplayOptions) (*ReplayResult, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("calib: replay: trace records have empty mode vectors")
 	}
-	if opt.Guard != nil {
-		if err := opt.Guard.Validate(); err != nil {
-			return nil, fmt.Errorf("calib: replay: guard: %w", err)
-		}
-	}
-	var pred core.MatrixPredictor = opt.Predictor
-	if opt.History != nil {
-		if err := opt.History.Validate(); err != nil {
-			return nil, fmt.Errorf("calib: replay: history: %w", err)
-		}
-		pred = core.NewHistoryPredictor(opt.Predictor, *opt.History)
-	}
-	var decider interface {
-		StepDecision(core.Decision) modes.Vector
-	}
-	if opt.Guard != nil {
-		decider = core.NewResilientManagerWith(opt.Plan, opt.Policy, pred, n, *opt.Guard)
-	} else {
-		decider = core.NewManagerWith(opt.Plan, opt.Policy, pred, n)
+	decider, err := engine.NewDecider(opt.Plan, opt.Policy, opt.Predictor, n, opt.Guard, opt.History)
+	if err != nil {
+		return nil, fmt.Errorf("calib: replay: %w", err)
 	}
 	oracle := opt.Oracle
 	if oracle == nil {
-		var err error
 		oracle, err = solver.New("bb", solver.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("calib: replay: %w", err)

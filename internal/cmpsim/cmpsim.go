@@ -5,14 +5,14 @@
 // explore interval (500 µs), charging DVFS transition overheads as
 // synchronized stalls (§5.1).
 //
-// The control loop itself lives in internal/engine; this package supplies
-// the trace-player Substrate and the option plumbing, so the same loop —
-// middleware chain, guard, thermal integration, accounting — also drives the
-// cycle-level chip in internal/fullsim.
+// The control loop itself lives in internal/engine, and engine.Wire turns
+// the manager options into its decider; this package supplies the
+// trace-player Substrate, so the same loop — middleware chain, guard,
+// thermal integration, accounting — also drives the cycle-level chip in
+// internal/fullsim.
 package cmpsim
 
 import (
-	"fmt"
 	"time"
 
 	"gpm/internal/core"
@@ -20,7 +20,6 @@ import (
 	"gpm/internal/fault"
 	"gpm/internal/modes"
 	"gpm/internal/obs"
-	"gpm/internal/solver"
 	"gpm/internal/thermal"
 	"gpm/internal/trace"
 	"gpm/internal/workload"
@@ -33,10 +32,6 @@ type Options struct {
 	Budget func(t time.Duration) float64
 	// Policy decides mode vectors at explore boundaries.
 	Policy core.Policy
-	// Solver, when non-nil and Policy is nil, runs the simulation under a
-	// MaxBIPS-objective policy backed by this internal/solver allocation
-	// solver (equivalent to Policy: core.SolverPolicy{Solver: Solver}).
-	Solver solver.Solver
 	// Predictor builds the §5.5 matrices. Zero value fields are filled from
 	// the library's plan and config.
 	Predictor core.Predictor
@@ -73,7 +68,7 @@ type Options struct {
 	// path.
 	Observer engine.Observer
 	// Supervisor, when non-nil, arms the engine's decision supervisor: the
-	// configured decider runs under a deadline/node budget with a graceful
+	// configured decider runs under a wall-clock deadline with a graceful
 	// degradation ladder behind it, and every actuated vector passes a
 	// budget-conformance gate. Zero-value fields select defaults (the
 	// Predictor defaults to this run's predictor). Incompatible with Replay —
@@ -187,72 +182,54 @@ func NewLoop(lib *trace.Library, combo workload.Combo, opt Options) (*engine.Loo
 }
 
 // build resolves Options into the substrate and engine options shared by Run
-// and NewLoop.
+// and NewLoop. Every option error returns before the combo is profiled.
 func build(lib *trace.Library, combo workload.Combo, opt Options) (engine.Substrate, engine.Options, error) {
 	cfg := lib.Config()
-	plan := lib.Plan()
-	replaying := opt.Replay != nil
-	if opt.Horizon < 0 {
-		return nil, engine.Options{}, &engine.OptionError{Component: "cmpsim", Field: "Horizon", Value: opt.Horizon, Reason: "must be non-negative"}
-	}
-	if opt.Guard != nil {
-		if err := opt.Guard.Validate(); err != nil {
-			return nil, engine.Options{}, &engine.OptionError{Component: "cmpsim", Field: "Guard", Value: "", Reason: err.Error()}
-		}
-	}
-	if replaying && opt.Supervisor != nil {
-		return nil, engine.Options{}, &engine.OptionError{Component: "cmpsim", Field: "Supervisor", Value: "non-nil",
-			Reason: "incompatible with Replay: recorded vectors must actuate verbatim"}
-	}
-	if opt.History != nil {
-		if replaying {
-			return nil, engine.Options{}, &engine.OptionError{Component: "cmpsim", Field: "History", Value: "non-nil",
-				Reason: "incompatible with Replay: recorded vectors must actuate verbatim"}
-		}
-		if err := opt.History.Validate(); err != nil {
-			return nil, engine.Options{}, &engine.OptionError{Component: "cmpsim", Field: "History", Value: "", Reason: err.Error()}
-		}
-	}
-	if opt.Policy == nil && opt.Solver != nil {
-		sol := opt.Solver
-		// Under a supervisor deadline the solver itself becomes bounded: half
-		// the supervisor's wall budget, so a cooperative abort normally lands
-		// before the watchdog has to abandon the goroutine.
-		if s := opt.Supervisor; s != nil && s.Deadline > 0 {
-			sol = solver.WithDeadline(sol, s.Deadline/2, 0)
-		}
-		// Session-capable: the engine loop adopting this policy creates a
-		// warm-start solver session and owns its lifecycle. Result-invariant
-		// vs the cold value policy (the goldens pin it).
-		opt.Policy = core.NewSolverPolicy(sol)
-	}
-	if opt.Policy == nil && !replaying {
-		return nil, engine.Options{}, fmt.Errorf("cmpsim: no policy")
-	}
-	if opt.Budget == nil && !replaying {
-		return nil, engine.Options{}, fmt.Errorf("cmpsim: no budget function")
-	}
-	if replaying {
+	horizon := opt.Horizon // a negative one fails engine validation
+	if r := opt.Replay; horizon == 0 && r != nil && r.Manifest != nil && r.Manifest.HorizonNs > 0 {
 		// A manifest makes the trace self-contained: the recording run's
-		// fault scenario and horizon apply unless the caller overrides them.
-		if m := opt.Replay.Manifest; m != nil {
-			if opt.Fault == nil && m.FaultSpec != "" {
-				sc, err := fault.ParseScenario(m.FaultSpec)
-				if err != nil {
-					return nil, engine.Options{}, fmt.Errorf("cmpsim: replay: manifest fault spec: %w", err)
-				}
-				opt.Fault = &sc
-			}
-			if opt.Horizon == 0 && m.HorizonNs > 0 {
-				opt.Horizon = time.Duration(m.HorizonNs)
-			}
-		}
+		// horizon applies unless the caller overrides it.
+		horizon = time.Duration(r.Manifest.HorizonNs)
+	} else if horizon == 0 {
+		horizon = cfg.Sim.Horizon
 	}
+	pred := opt.Predictor
+	if pred.Plan.NumModes() == 0 {
+		pred.Plan = lib.Plan()
+	}
+	if pred.ExploreSeconds == 0 {
+		pred.ExploreSeconds = cfg.Sim.Explore.Seconds()
+	}
+	eopt := engine.Options{
+		Plan:             lib.Plan(),
+		Budget:           opt.Budget,
+		DeltaSim:         cfg.Sim.DeltaSim,
+		DeltasPerExplore: cfg.DeltaPerExplore(),
+		Explore:          cfg.Sim.Explore,
+		Horizon:          horizon,
+		Thermal:          opt.Thermal,
+		Observer:         opt.Observer,
+		ErrPrefix:        "cmpsim",
+		Combo:            combo,
+	}
+	err := engine.Wire(&eopt, engine.Management{
+		Cores:      combo.Cores(),
+		Policy:     opt.Policy,
+		Predictor:  pred,
+		Guard:      opt.Guard,
+		History:    opt.History,
+		Supervisor: opt.Supervisor,
+		Fault:      opt.Fault,
+		Replay:     obs.AsRecording(opt.Replay),
+	})
+	if err != nil {
+		return nil, engine.Options{}, err
+	}
+
 	players, err := lib.Players(combo)
 	if err != nil {
 		return nil, engine.Options{}, err
 	}
-	n := len(players)
 	memBound := opt.MemBound
 	if memBound == nil {
 		memBound, err = MemBoundedness(lib, combo)
@@ -260,75 +237,10 @@ func build(lib *trace.Library, combo workload.Combo, opt Options) (engine.Substr
 			return nil, engine.Options{}, err
 		}
 	}
-
-	pred := opt.Predictor
-	if pred.Plan.NumModes() == 0 {
-		pred.Plan = plan
-	}
-	if pred.ExploreSeconds == 0 {
-		pred.ExploreSeconds = cfg.Sim.Explore.Seconds()
-	}
-
-	var inj *fault.Injector
-	if opt.Fault != nil && opt.Fault.Enabled() {
-		inj, err = fault.NewInjector(*opt.Fault, n)
-		if err != nil {
-			return nil, engine.Options{}, err
-		}
-	}
-
-	horizon := cfg.Sim.Horizon
-	if opt.Horizon > 0 {
-		horizon = opt.Horizon
-	}
-
 	sub := &substrate{
 		players:    players,
 		exploreSec: cfg.Sim.Explore.Seconds(),
 		memBound:   memBound,
-	}
-	eopt := engine.Options{
-		Plan:             plan,
-		Budget:           opt.Budget,
-		DeltaSim:         cfg.Sim.DeltaSim,
-		DeltasPerExplore: cfg.DeltaPerExplore(),
-		Explore:          cfg.Sim.Explore,
-		Horizon:          horizon,
-		Thermal:          opt.Thermal,
-		Injector:         inj,
-		Observer:         opt.Observer,
-		ErrPrefix:        "cmpsim",
-		Combo:            combo,
-	}
-	if replaying {
-		dec, err := obs.NewReplayDecider(opt.Replay, cfg.Sim.Explore)
-		if err != nil {
-			return nil, engine.Options{}, err
-		}
-		eopt.Decider = dec
-		// The recorded budgets already fold the whole budget middleware
-		// (source, fault spikes, thermal clamp); replay them verbatim. The
-		// thermal governor still integrates for the MaxTempC series, and the
-		// injector still kills cores — those are physics, not decisions.
-		eopt.Stages = []engine.Stage{obs.NewReplayBudget(opt.Replay)}
-		if eopt.Budget == nil {
-			eopt.Budget = func(time.Duration) float64 { return 0 } // unused: Stages override the chain
-		}
-		eopt.PolicyName = opt.Replay.PolicyName()
-	} else {
-		if opt.History != nil {
-			eopt.Decider = engine.NewDeciderWith(plan, opt.Policy, core.NewHistoryPredictor(pred, *opt.History), n, opt.Guard)
-		} else {
-			eopt.Decider = engine.NewDecider(plan, opt.Policy, pred, n, opt.Guard)
-		}
-		eopt.PolicyName = opt.Policy.Name()
-		if opt.Supervisor != nil {
-			sup := *opt.Supervisor
-			if sup.Predictor.Plan.NumModes() == 0 {
-				sup.Predictor = pred
-			}
-			eopt.Supervisor = &sup
-		}
 	}
 	return sub, eopt, nil
 }

@@ -1,6 +1,7 @@
 package cmpsim
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -13,17 +14,28 @@ import (
 	"gpm/internal/workload"
 )
 
-func testLib(t testing.TB, n int) *trace.Library {
+// Characterizing benchmarks dominates test wall-clock, so every test shares
+// one 4-core library: profiles characterize lazily and cache inside it, the
+// library is safe for concurrent use, and players never write their profile.
+var (
+	libOnce sync.Once
+	sharedL *trace.Library
+)
+
+func testLib(t testing.TB) *trace.Library {
 	t.Helper()
-	cfg := config.Default(n)
-	plan := modes.Default(cfg.Chip.NominalVdd, cfg.Chip.TransitionRateVPerUs)
-	return trace.NewLibrary(cfg, power.Default(), plan)
+	libOnce.Do(func() {
+		cfg := config.Default(4)
+		plan := modes.Default(cfg.Chip.NominalVdd, cfg.Chip.TransitionRateVPerUs)
+		sharedL = trace.NewLibrary(cfg, power.Default(), plan)
+	})
+	return sharedL
 }
 
 func fourWay() workload.Combo { return workload.FourWay[0] } // ammp,mcf,crafty,art
 
 func TestBaselineRunsToHorizon(t *testing.T) {
-	lib := testLib(t, 4)
+	lib := testLib(t)
 	res, err := Baseline(lib, fourWay())
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +55,7 @@ func TestBaselineRunsToHorizon(t *testing.T) {
 }
 
 func TestPoliciesMeetBudget(t *testing.T) {
-	lib := testLib(t, 4)
+	lib := testLib(t)
 	base, err := Baseline(lib, fourWay())
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +93,7 @@ func TestPoliciesMeetBudget(t *testing.T) {
 }
 
 func TestMaxBIPSBeatsChipWideAndNearOracle(t *testing.T) {
-	lib := testLib(t, 4)
+	lib := testLib(t)
 	combo := fourWay()
 	base, err := Baseline(lib, combo)
 	if err != nil {
@@ -110,7 +122,7 @@ func TestMaxBIPSBeatsChipWideAndNearOracle(t *testing.T) {
 }
 
 func TestStepBudgetDrops(t *testing.T) {
-	lib := testLib(t, 4)
+	lib := testLib(t)
 	combo := fourWay()
 	base, err := Baseline(lib, combo)
 	if err != nil {

@@ -16,7 +16,7 @@ import (
 // counterfactual lane is not being fed what the recording manager was fed,
 // and every cross-policy regret number it reports is suspect.
 func TestCounterfactualSelfIdentity(t *testing.T) {
-	lib := testLib(t, 4)
+	lib := testLib(t)
 	memBound, err := MemBoundedness(lib, fourWay())
 	if err != nil {
 		t.Fatal(err)

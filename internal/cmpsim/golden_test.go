@@ -144,7 +144,7 @@ var goldenWant = map[string]uint64{
 //
 //	GOLDEN_CAPTURE=1 go test ./internal/cmpsim -run TestGoldenControlLoop -v
 func TestGoldenControlLoop(t *testing.T) {
-	lib := testLib(t, 4)
+	lib := testLib(t)
 	capture := os.Getenv("GOLDEN_CAPTURE") != ""
 	for _, gc := range goldenCases {
 		res, err := Run(lib, fourWay(), gc.opt())
@@ -183,7 +183,7 @@ var goldenTraceWant = map[string]uint64{
 // pins (a) that observing does not move the Result a single bit and (b) the
 // trace fingerprint of each case.
 func TestGoldenDecisionTraces(t *testing.T) {
-	lib := testLib(t, 4)
+	lib := testLib(t)
 	capture := os.Getenv("GOLDEN_CAPTURE") != ""
 	for _, gc := range goldenCases {
 		opt := gc.opt()
@@ -215,7 +215,7 @@ func TestGoldenDecisionTraces(t *testing.T) {
 // reproduce the original bit for bit — recorded vectors and budgets are the
 // only decision inputs the physics ever consumed.
 func TestGoldenReplayBitIdentical(t *testing.T) {
-	lib := testLib(t, 4)
+	lib := testLib(t)
 	for _, gc := range goldenCases {
 		col := obs.NewCollector(nil)
 		opt := gc.opt()

@@ -10,7 +10,7 @@ import (
 // TestEnergyConservation: total energy must equal the integral of the chip
 // power series, and per-core series must sum to the chip series.
 func TestEnergyConservation(t *testing.T) {
-	lib := testLib(t, 4)
+	lib := testLib(t)
 	res, err := Run(lib, fourWay(), Options{
 		Budget: FixedBudget(70),
 		Policy: core.MaxBIPS{},
@@ -54,7 +54,7 @@ func TestEnergyConservation(t *testing.T) {
 
 // TestRunDeterminism: identical inputs must produce identical results.
 func TestRunDeterminism(t *testing.T) {
-	lib := testLib(t, 4)
+	lib := testLib(t)
 	run := func() *Result {
 		res, err := Run(lib, fourWay(), Options{
 			Budget: FixedBudget(68),
@@ -80,7 +80,7 @@ func TestRunDeterminism(t *testing.T) {
 // TestModeSeriesMatchesDecisions: the recorded per-explore vectors must
 // stay legal and only change at explore boundaries by construction.
 func TestModeSeriesLegal(t *testing.T) {
-	lib := testLib(t, 4)
+	lib := testLib(t)
 	res, err := Run(lib, fourWay(), Options{
 		Budget: FixedBudget(66),
 		Policy: core.PullHiPushLo{},
@@ -109,7 +109,7 @@ func TestModeSeriesLegal(t *testing.T) {
 // TestUnlimitedBudgetIsAllTurbo: with no budget pressure, MaxBIPS never
 // leaves Turbo (transition stalls would only lose throughput).
 func TestUnlimitedBudgetIsAllTurbo(t *testing.T) {
-	lib := testLib(t, 4)
+	lib := testLib(t)
 	res, err := Run(lib, fourWay(), Options{
 		Budget: Unlimited(),
 		Policy: core.MaxBIPS{},

@@ -9,13 +9,14 @@ import (
 	"gpm/internal/core"
 	"gpm/internal/engine"
 	"gpm/internal/obs"
+	"gpm/internal/workload"
 )
 
 // TestOptionsValidation is the table-driven typed-error check for the
 // cmpsim front end: misconfiguration fails loudly as *engine.OptionError
 // naming the offending field, before the substrate is touched.
 func TestOptionsValidation(t *testing.T) {
-	lib := testLib(t, 4)
+	lib := testLib(t)
 	good := func() Options {
 		return Options{Budget: FixedBudget(70), Policy: core.MaxBIPS{}, Horizon: time.Millisecond}
 	}
@@ -34,20 +35,25 @@ func TestOptionsValidation(t *testing.T) {
 			o.Supervisor = &engine.SupervisorConfig{Deadline: -time.Microsecond}
 		}, "Supervisor.Deadline"},
 	}
+	// Every option error must return before the combo is profiled, so a
+	// combo naming an unknown benchmark still fails on the option.
+	unknown := workload.Combo{ID: "unknown", Benchmarks: []string{"ammp", "no-such-benchmark", "crafty", "art"}}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			opt := good()
-			tc.mut(&opt)
-			_, err := Run(lib, fourWay(), opt)
-			if err == nil {
-				t.Fatal("accepted")
-			}
-			var oe *engine.OptionError
-			if !errors.As(err, &oe) {
-				t.Fatalf("error %T (%v) is not *engine.OptionError", err, err)
-			}
-			if oe.Field != tc.field {
-				t.Fatalf("rejected field %q, want %q", oe.Field, tc.field)
+			for _, combo := range []workload.Combo{fourWay(), unknown} {
+				opt := good()
+				tc.mut(&opt)
+				_, err := Run(lib, combo, opt)
+				if err == nil {
+					t.Fatalf("%s: accepted", combo.ID)
+				}
+				var oe *engine.OptionError
+				if !errors.As(err, &oe) {
+					t.Fatalf("%s: error %T (%v) is not *engine.OptionError", combo.ID, err, err)
+				}
+				if oe.Field != tc.field {
+					t.Fatalf("%s: rejected field %q, want %q", combo.ID, oe.Field, tc.field)
+				}
 			}
 		})
 	}
@@ -58,7 +64,7 @@ func TestOptionsValidation(t *testing.T) {
 // bit-identical to the unsupervised run — same Result fingerprint — and
 // records an all-rung-0 ladder.
 func TestSupervisedRunCleanPathIdentical(t *testing.T) {
-	lib := testLib(t, 4)
+	lib := testLib(t)
 	opt := Options{Budget: FixedBudget(70), Policy: core.MaxBIPS{}, Horizon: 4 * time.Millisecond}
 	plain, err := Run(lib, fourWay(), opt)
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 )
 
 func TestBudgetValidation(t *testing.T) {
-	lib := testLib(t, 4)
+	lib := testLib(t)
 	for name, fn := range map[string]func(time.Duration) float64{
 		"nan":      func(time.Duration) float64 { return math.NaN() },
 		"negative": FixedBudget(-5),
@@ -41,7 +41,7 @@ func TestBudgetValidation(t *testing.T) {
 // actually ran, not the nominal per-explore count (which would understate
 // power by the truncation ratio).
 func TestTruncatedIntervalAveraging(t *testing.T) {
-	lib := testLib(t, 4)
+	lib := testLib(t)
 	cfg := lib.Config()
 	// One full explore interval plus 40% of a second one.
 	frac := 4
@@ -73,7 +73,7 @@ func TestTruncatedIntervalAveraging(t *testing.T) {
 // TestFaultRunReproducible: identical fault seeds must replay bit-identically
 // and different seeds must diverge.
 func TestFaultRunReproducible(t *testing.T) {
-	lib := testLib(t, 4)
+	lib := testLib(t)
 	run := func(seed int64) *Result {
 		sc := &fault.Scenario{Seed: seed, PowerNoiseSigma: 0.08, InstrNoiseSigma: 0.03, DropProb: 0.05}
 		res, err := Run(lib, fourWay(), Options{
@@ -118,7 +118,7 @@ func TestFaultRunReproducible(t *testing.T) {
 // the guarded manager's emergency throttle must engage within K explore
 // intervals and keep the sustained overshoot bounded.
 func TestStuckAtLowGuardedVsUnguarded(t *testing.T) {
-	lib := testLib(t, 4)
+	lib := testLib(t)
 	base, err := Baseline(lib, fourWay())
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestStuckAtLowGuardedVsUnguarded(t *testing.T) {
 // manager must detect it, park it, and keep the chip under budget while the
 // survivors absorb the budget share.
 func TestCoreDeathParksAndRedistributes(t *testing.T) {
-	lib := testLib(t, 4)
+	lib := testLib(t)
 	base, err := Baseline(lib, fourWay())
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +266,7 @@ func TestCoreDeathParksAndRedistributes(t *testing.T) {
 // force must be min(step budget, thermal budget) on both sides of the step
 // boundary, and the governed temperature must stay bounded near the limit.
 func TestStepBudgetThermalInteraction(t *testing.T) {
-	lib := testLib(t, 4)
+	lib := testLib(t)
 	cfg := lib.Config()
 	w1, w2 := 200.0, 30.0
 	boundary := 5 * time.Millisecond
@@ -345,7 +345,7 @@ func TestStepBudgetThermalInteraction(t *testing.T) {
 // up in the recorded budget series, and a dead thermal sensor must freeze
 // the thermal component at its last reading.
 func TestBudgetSpikeAndThermalSensorDeath(t *testing.T) {
-	lib := testLib(t, 4)
+	lib := testLib(t)
 	sc := &fault.Scenario{
 		Spikes: []fault.BudgetSpike{{At: 2 * time.Millisecond, Duration: time.Millisecond, Scale: 0.5}},
 	}

@@ -250,15 +250,10 @@ type Manager struct {
 	hint modes.Vector
 }
 
-// NewManager builds a manager for n cores, starting all cores at Turbo.
-func NewManager(plan modes.Plan, policy Policy, pred Predictor, n int) *Manager {
-	return NewManagerWith(plan, policy, pred, n)
-}
-
-// NewManagerWith builds a manager around any MatrixPredictor — the analytic
-// Predictor (NewManager's fixed choice, bit-identical through this path) or
-// a stateful upgrade such as the HistoryPredictor.
-func NewManagerWith(plan modes.Plan, policy Policy, pred MatrixPredictor, n int) *Manager {
+// NewManager builds a manager for n cores, starting all cores at Turbo. pred
+// is the analytic Predictor or a stateful upgrade such as the
+// HistoryPredictor.
+func NewManager(plan modes.Plan, policy Policy, pred MatrixPredictor, n int) *Manager {
 	return &Manager{
 		plan:      plan,
 		policy:    policy,

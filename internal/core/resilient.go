@@ -170,18 +170,13 @@ type ResilientManager struct {
 	stats ResilientStats
 }
 
-// NewResilientManager builds a guarded manager for n cores.
-func NewResilientManager(plan modes.Plan, policy Policy, pred Predictor, n int, cfg GuardConfig) *ResilientManager {
-	return NewResilientManagerWith(plan, policy, pred, n, cfg)
-}
-
-// NewResilientManagerWith builds a guarded manager around any
-// MatrixPredictor (see NewManagerWith). The guard's sanitization runs
-// upstream of the predictor, so a stateful predictor only ever observes the
-// repaired sample stream.
-func NewResilientManagerWith(plan modes.Plan, policy Policy, pred MatrixPredictor, n int, cfg GuardConfig) *ResilientManager {
+// NewResilientManager builds a guarded manager for n cores around any
+// MatrixPredictor (see NewManager). The guard's sanitization runs upstream of
+// the predictor, so a stateful predictor only ever observes the repaired
+// sample stream.
+func NewResilientManager(plan modes.Plan, policy Policy, pred MatrixPredictor, n int, cfg GuardConfig) *ResilientManager {
 	return &ResilientManager{
-		inner:    NewManagerWith(plan, policy, pred, n),
+		inner:    NewManager(plan, policy, pred, n),
 		plan:     plan,
 		cfg:      cfg.withDefaults(),
 		lastGood: make([]Sample, n),

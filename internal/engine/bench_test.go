@@ -39,7 +39,7 @@ func benchLoop(b *testing.B, n int, policy core.Policy, guard *core.GuardConfig,
 		opt := Options{
 			Plan:             plan,
 			Budget:           func(time.Duration) float64 { return budget },
-			Decider:          NewDecider(plan, policy, pred, n, guard),
+			Decider:          newDecider(b, plan, policy, pred, n, guard),
 			DeltaSim:         50 * time.Microsecond,
 			DeltasPerExplore: 10,
 			Horizon:          horizon,
@@ -116,7 +116,7 @@ func benchObserved(b *testing.B, obs Observer) {
 		opt := Options{
 			Plan:             plan,
 			Budget:           func(time.Duration) float64 { return 63 },
-			Decider:          NewDecider(plan, core.MaxBIPS{}, pred, 4, nil),
+			Decider:          newDecider(b, plan, core.MaxBIPS{}, pred, 4, nil),
 			DeltaSim:         50 * time.Microsecond,
 			DeltasPerExplore: 10,
 			Horizon:          horizon,
@@ -152,7 +152,7 @@ func TestObserverNilPathZeroAllocs(t *testing.T) {
 			opt := Options{
 				Plan:             plan,
 				Budget:           func(time.Duration) float64 { return 63 },
-				Decider:          NewDecider(plan, core.MaxBIPS{}, pred, 4, nil),
+				Decider:          newDecider(t, plan, core.MaxBIPS{}, pred, 4, nil),
 				DeltaSim:         50 * time.Microsecond,
 				DeltasPerExplore: 10,
 				Horizon:          5 * time.Millisecond,
@@ -211,7 +211,7 @@ func nilPathMarginalAllocs(t *testing.T, plan modes.Plan, pred core.Predictor) f
 			opt := Options{
 				Plan:             plan,
 				Budget:           func(time.Duration) float64 { return 63 },
-				Decider:          NewDecider(plan, core.MaxBIPS{}, pred, 4, nil),
+				Decider:          newDecider(t, plan, core.MaxBIPS{}, pred, 4, nil),
 				DeltaSim:         50 * time.Microsecond,
 				DeltasPerExplore: 10,
 				Horizon:          horizon,

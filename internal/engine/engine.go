@@ -62,7 +62,8 @@ type Substrate interface {
 }
 
 // Decider is one global power manager: plain (*core.Manager) or guarded
-// (*core.ResilientManager), both satisfy it via core.Decision.
+// (*core.ResilientManager), both satisfy it via core.Decision (NewDecider
+// returns either).
 type Decider interface {
 	// StepDecision performs one explore-boundary decision and returns the
 	// next mode vector.
@@ -74,34 +75,13 @@ type Decider interface {
 	GuardStats() (core.ResilientStats, bool)
 }
 
-// Compile-time proof that both managers satisfy Decider.
-var (
-	_ Decider = (*core.Manager)(nil)
-	_ Decider = (*core.ResilientManager)(nil)
-)
-
-// NewDecider builds the manager for n cores: guarded when guard is non-nil,
-// plain otherwise.
-func NewDecider(plan modes.Plan, policy core.Policy, pred core.Predictor, n int, guard *core.GuardConfig) Decider {
-	return NewDeciderWith(plan, policy, pred, n, guard)
-}
-
-// NewDeciderWith is NewDecider over any core.MatrixPredictor — the seam the
-// front ends use to arm the history-table phase predictor
-// (cmpsim.Options.History / fullsim.ManagedOptions.History).
-func NewDeciderWith(plan modes.Plan, policy core.Policy, pred core.MatrixPredictor, n int, guard *core.GuardConfig) Decider {
-	if guard != nil {
-		return core.NewResilientManagerWith(plan, policy, pred, n, *guard)
-	}
-	return core.NewManagerWith(plan, policy, pred, n)
-}
-
-// Options configures one engine run. Plan, Budget, Decider, DeltaSim,
-// DeltasPerExplore and Horizon are required.
+// Options configures one engine run. Plan, Decider, DeltaSim,
+// DeltasPerExplore, Horizon and Budget (unless Stages is set) are required.
 type Options struct {
 	// Plan is the DVFS mode plan (transition times, frequency scales).
 	Plan modes.Plan
-	// Budget returns the planned chip power budget in watts at time t.
+	// Budget returns the planned chip power budget in watts at time t; the
+	// default chain's source stage reads it.
 	Budget func(t time.Duration) float64
 	// Decider is the global manager making explore-boundary decisions.
 	Decider Decider
@@ -225,10 +205,7 @@ func New(sub Substrate, opt Options) (*Loop, error) {
 		return nil, err
 	}
 	n := sub.NumCores()
-	explore := opt.Explore
-	if explore == 0 {
-		explore = opt.DeltaSim * time.Duration(opt.DeltasPerExplore)
-	}
+	explore := opt.explore()
 	inj := opt.Injector
 	stages := opt.Stages
 	if stages == nil {

@@ -93,13 +93,56 @@ func runFake(t testing.TB, sub *fakeSub, opt Options) *Result {
 	return res
 }
 
+// newDecider is NewDecider without a history table, for fixtures whose
+// guard settings are known valid.
+func newDecider(t testing.TB, plan modes.Plan, policy core.Policy, pred core.MatrixPredictor, n int, guard *core.GuardConfig) Decider {
+	t.Helper()
+	d, err := NewDecider(plan, policy, pred, n, guard, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestNewDeciderChoices pins the one decider constructor's choices: guard
+// selects the resilient manager, history wraps only an analytic predictor,
+// and invalid settings are OptionErrors on the field that holds them.
+func TestNewDeciderChoices(t *testing.T) {
+	plan := testPlan(t)
+	pred := core.Predictor{Plan: plan, ExploreSeconds: 500e-6}
+	if _, guarded := newDecider(t, plan, core.MaxBIPS{}, pred, 4, nil).GuardStats(); guarded {
+		t.Error("nil guard built a guarded manager")
+	}
+	if _, guarded := newDecider(t, plan, core.MaxBIPS{}, pred, 4, &core.GuardConfig{}).GuardStats(); !guarded {
+		t.Error("non-nil guard built a plain manager")
+	}
+	if _, err := NewDecider(plan, core.MaxBIPS{}, pred, 4, nil, &core.HistoryConfig{}); err != nil {
+		t.Errorf("history over the analytic predictor: %v", err)
+	}
+	for field, build := range map[string]func() error{
+		"Guard": func() error {
+			_, err := NewDecider(plan, core.MaxBIPS{}, pred, 4, &core.GuardConfig{OvershootFrac: math.NaN()}, nil)
+			return err
+		},
+		"History": func() error {
+			wrapped := core.NewHistoryPredictor(pred, core.HistoryConfig{})
+			_, err := NewDecider(plan, core.MaxBIPS{}, wrapped, 4, nil, &core.HistoryConfig{})
+			return err
+		},
+	} {
+		if oe, ok := build().(*OptionError); !ok || oe.Field != field {
+			t.Errorf("%s: got %v, want an OptionError on %s", field, build(), field)
+		}
+	}
+}
+
 func baseOptions(t testing.TB, plan modes.Plan, n int, budgetW float64) Options {
 	t.Helper()
 	pred := core.Predictor{Plan: plan, ExploreSeconds: 500e-6}
 	return Options{
 		Plan:             plan,
 		Budget:           func(time.Duration) float64 { return budgetW },
-		Decider:          NewDecider(plan, core.MaxBIPS{}, pred, n, nil),
+		Decider:          newDecider(t, plan, core.MaxBIPS{}, pred, n, nil),
 		DeltaSim:         50 * time.Microsecond,
 		DeltasPerExplore: 10,
 		Horizon:          2 * time.Millisecond,

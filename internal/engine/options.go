@@ -1,6 +1,9 @@
 package engine
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // OptionError is the typed validation error for user-facing options across
 // the front ends: engine.Options, cmpsim.Options, fullsim.Options. It names
@@ -25,20 +28,33 @@ func (e *OptionError) Error() string {
 	return fmt.Sprintf("%s: option %s = %v: %s", e.Component, e.Field, e.Value, e.Reason)
 }
 
+// component names the front end in errors: ErrPrefix, or "engine".
+func (opt *Options) component() string {
+	if opt.ErrPrefix == "" {
+		return "engine"
+	}
+	return opt.ErrPrefix
+}
+
+// explore is the explore interval: Explore, or DeltaSim × DeltasPerExplore.
+func (opt *Options) explore() time.Duration {
+	if opt.Explore == 0 {
+		return opt.DeltaSim * time.Duration(opt.DeltasPerExplore)
+	}
+	return opt.Explore
+}
+
 // validate checks Options before Run touches the substrate. All failures
 // are *OptionError with Component set to ErrPrefix (or "engine").
 func (opt *Options) validate() error {
-	comp := opt.ErrPrefix
-	if comp == "" {
-		comp = "engine"
-	}
+	comp := opt.component()
 	fail := func(field string, value any, reason string) error {
 		return &OptionError{Component: comp, Field: field, Value: value, Reason: reason}
 	}
 	if opt.Decider == nil {
 		return fail("Decider", nil, "required")
 	}
-	if opt.Budget == nil {
+	if opt.Budget == nil && opt.Stages == nil {
 		return fail("Budget", nil, "required")
 	}
 	if opt.DeltaSim <= 0 {

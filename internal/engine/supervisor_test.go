@@ -143,7 +143,7 @@ func TestSupervisorStallAcceptance64(t *testing.T) {
 	opt := Options{
 		Plan:             plan,
 		Budget:           budget,
-		Decider:          NewDecider(plan, pol, pred, n, nil),
+		Decider:          newDecider(t, plan, pol, pred, n, nil),
 		DeltaSim:         explore / 10,
 		DeltasPerExplore: 10,
 		Horizon:          horizon,
@@ -234,7 +234,7 @@ func TestSupervisorConformanceProperty(t *testing.T) {
 		opt := Options{
 			Plan:             plan,
 			Budget:           func(time.Duration) float64 { return budget },
-			Decider:          NewDecider(plan, core.MaxBIPS{}, pred, n, nil),
+			Decider:          newDecider(t, plan, core.MaxBIPS{}, pred, n, nil),
 			DeltaSim:         50 * time.Microsecond,
 			DeltasPerExplore: 10,
 			Horizon:          10 * time.Millisecond,
@@ -350,7 +350,7 @@ func TestSupervisorHappyPathZeroMarginalAllocs(t *testing.T) {
 			opt := Options{
 				Plan:             plan,
 				Budget:           func(time.Duration) float64 { return 63 },
-				Decider:          NewDecider(plan, core.MaxBIPS{}, pred, 4, nil),
+				Decider:          newDecider(t, plan, core.MaxBIPS{}, pred, 4, nil),
 				DeltaSim:         50 * time.Microsecond,
 				DeltasPerExplore: 10,
 				Horizon:          horizon,

@@ -37,7 +37,7 @@ func recorderOptions(t *testing.T, plan modes.Plan, rec *hintRecorder, n int, bu
 	return Options{
 		Plan:             plan,
 		Budget:           budget,
-		Decider:          NewDecider(plan, rec, pred, n, nil),
+		Decider:          newDecider(t, plan, rec, pred, n, nil),
 		DeltaSim:         50 * time.Microsecond,
 		DeltasPerExplore: 10,
 		Horizon:          3 * time.Millisecond, // 6 decisions
@@ -150,7 +150,7 @@ func TestEngineSessionCounters(t *testing.T) {
 	opt := Options{
 		Plan:             plan,
 		Budget:           func(time.Duration) float64 { return 55 },
-		Decider:          NewDecider(plan, pol, pred, 4, nil),
+		Decider:          newDecider(t, plan, pol, pred, 4, nil),
 		DeltaSim:         50 * time.Microsecond,
 		DeltasPerExplore: 10,
 		Horizon:          3 * time.Millisecond,
@@ -210,7 +210,7 @@ func TestWarmHintWithheldAfterInterventions(t *testing.T) {
 	sub := newFakeSub(plan, []float64{20, 18, 15, 17}, []float64{900, 1000, 700, 850}, 500e-6)
 	pred := core.Predictor{Plan: plan, ExploreSeconds: 500e-6}
 	dec := &interveningDecider{
-		Decider:     NewDecider(plan, core.MaxBIPS{}, pred, 4, nil),
+		Decider:     newDecider(t, plan, core.MaxBIPS{}, pred, 4, nil),
 		emergencyAt: 1,
 		degradedAt:  3,
 	}

@@ -64,7 +64,7 @@ func (e *Env) CrossCheck(combo workload.Combo, budgetFrac float64, intervals int
 	if err != nil {
 		return nil, err
 	}
-	fullBase, err := chip.RunManaged(core.Fixed{Vector: chip.Vector()}, 1e12, intervals)
+	fullBase, err := chip.Managed(fullsim.ManagedOptions{Policy: core.Fixed{Vector: chip.Vector()}, BudgetW: 1e12, Intervals: intervals})
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +78,7 @@ func (e *Env) CrossCheck(combo workload.Combo, budgetFrac float64, intervals int
 		if err != nil {
 			return nil, err
 		}
-		full, err := chip.RunManaged(pol, budgetW, intervals)
+		full, err := chip.Managed(fullsim.ManagedOptions{Policy: pol, BudgetW: budgetW, Intervals: intervals})
 		if err != nil {
 			return nil, err
 		}

@@ -112,7 +112,7 @@ func (e *Env) CrossSubstrate(combo workload.Combo, budgetFrac float64, intervals
 	if err != nil {
 		return nil, err
 	}
-	fullBase, err := chip.RunManaged(core.Fixed{Vector: modes.Uniform(n, modes.Turbo)}, 1e12, intervals)
+	fullBase, err := chip.Managed(fullsim.ManagedOptions{Policy: core.Fixed{Vector: modes.Uniform(n, modes.Turbo)}, BudgetW: 1e12, Intervals: intervals})
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +137,7 @@ func (e *Env) CrossSubstrate(combo workload.Combo, budgetFrac float64, intervals
 		if err != nil {
 			return err
 		}
-		full, err := chip.RunManaged(pol, budgetW, intervals)
+		full, err := chip.Managed(fullsim.ManagedOptions{Policy: pol, BudgetW: budgetW, Intervals: intervals})
 		if err != nil {
 			return err
 		}

@@ -86,7 +86,7 @@ func newChip(lib *trace.Library, cfg Config, id int) (*chip, error) {
 
 	c.loop, err = cmpsim.NewLoop(lib, cfg.Combo, cmpsim.Options{
 		Budget:  func(time.Duration) float64 { return c.grantW },
-		Solver:  &solver.BB{},
+		Policy:  core.NewSolverPolicy(&solver.BB{}),
 		Horizon: cfg.Horizon,
 		Predictor: core.Predictor{
 			Plan:           lib.Plan(),

@@ -56,7 +56,7 @@ func BenchmarkFullsimManaged(b *testing.B) {
 				ch := chipWithWorkers(b, benchCombo, workers)
 				ch.Warm(2000)
 				b.StartTimer()
-				if _, err := ch.RunManaged(core.MaxBIPS{}, 120, intervals); err != nil {
+				if _, err := ch.Managed(ManagedOptions{Policy: core.MaxBIPS{}, BudgetW: 120, Intervals: intervals}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -460,8 +460,9 @@ type ManagedOptions struct {
 	// recorded trace's vectors and budgets instead of a policy — including a
 	// trace recorded on the *other* substrate, which is how a cmpsim-vs-
 	// fullsim divergence is isolated to physics rather than decisions.
-	// Policy becomes optional; Intervals is still required (the cycle-level
-	// chip has no horizon of its own).
+	// Policy becomes optional, and Fault defaults from the trace manifest
+	// when unset; Intervals is still required (the cycle-level chip has no
+	// horizon of its own).
 	Replay *obs.Trace
 }
 
@@ -470,32 +471,11 @@ type ManagedOptions struct {
 // opt.Intervals explore intervals. The chip is forced to all-Turbo for the
 // bootstrap probe; transition stalls are charged at the §5.1 worst-case
 // endpoint power over the stall window, with execution advancing only
-// through the remainder of each delta interval.
+// through the remainder of each delta interval. Option errors
+// (*engine.OptionError) return before the chip is touched.
 func (ch *Chip) Managed(opt ManagedOptions) (*engine.Result, error) {
-	replaying := opt.Replay != nil
-	if opt.Policy == nil && !replaying {
-		return nil, &engine.OptionError{Component: "fullsim", Field: "Policy", Value: nil, Reason: "required"}
-	}
 	if opt.Intervals <= 0 {
 		return nil, &engine.OptionError{Component: "fullsim", Field: "Intervals", Value: opt.Intervals, Reason: "must be positive"}
-	}
-	if opt.Guard != nil {
-		if err := opt.Guard.Validate(); err != nil {
-			return nil, &engine.OptionError{Component: "fullsim", Field: "Guard", Value: "", Reason: err.Error()}
-		}
-	}
-	if replaying && opt.Supervisor != nil {
-		return nil, &engine.OptionError{Component: "fullsim", Field: "Supervisor", Value: "non-nil",
-			Reason: "incompatible with Replay: recorded vectors must actuate verbatim"}
-	}
-	if opt.History != nil {
-		if replaying {
-			return nil, &engine.OptionError{Component: "fullsim", Field: "History", Value: "non-nil",
-				Reason: "incompatible with Replay: recorded vectors must actuate verbatim"}
-		}
-		if err := opt.History.Validate(); err != nil {
-			return nil, &engine.OptionError{Component: "fullsim", Field: "History", Value: "", Reason: err.Error()}
-		}
 	}
 	budget := opt.Budget
 	if budget == nil {
@@ -503,21 +483,12 @@ func (ch *Chip) Managed(opt ManagedOptions) (*engine.Result, error) {
 		budget = func(time.Duration) float64 { return w }
 	}
 	n := ch.NumCores()
-	var inj *fault.Injector
-	if opt.Fault != nil && opt.Fault.Enabled() {
-		var err error
-		inj, err = fault.NewInjector(*opt.Fault, n)
-		if err != nil {
-			return nil, err
-		}
-	}
 	pred := core.Predictor{
 		Plan:              ch.plan,
 		PowerScale:        func(m modes.Mode) float64 { return ch.model.ScaleLaw(ch.plan, m) },
 		ExploreSeconds:    ch.cfg.Sim.Explore.Seconds(),
 		DerateTransitions: true,
 	}
-	ch.SetVector(modes.Uniform(n, modes.Turbo))
 	eopt := engine.Options{
 		Plan:             ch.plan,
 		Budget:           budget,
@@ -526,42 +497,23 @@ func (ch *Chip) Managed(opt ManagedOptions) (*engine.Result, error) {
 		Explore:          ch.cfg.Sim.Explore,
 		Horizon:          ch.cfg.Sim.Explore * time.Duration(opt.Intervals),
 		Thermal:          opt.Thermal,
-		Injector:         inj,
 		Observer:         opt.Observer,
 		ErrPrefix:        "fullsim",
 		Combo:            workload.Combo{ID: "fullsim", Benchmarks: ch.benchmarks},
 	}
-	if replaying {
-		dec, err := obs.NewReplayDecider(opt.Replay, ch.cfg.Sim.Explore)
-		if err != nil {
-			return nil, err
-		}
-		eopt.Decider = dec
-		eopt.Stages = []engine.Stage{obs.NewReplayBudget(opt.Replay)}
-		eopt.PolicyName = opt.Replay.PolicyName()
-	} else {
-		if opt.History != nil {
-			eopt.Decider = engine.NewDeciderWith(ch.plan, opt.Policy, core.NewHistoryPredictor(pred, *opt.History), n, opt.Guard)
-		} else {
-			eopt.Decider = engine.NewDecider(ch.plan, opt.Policy, pred, n, opt.Guard)
-		}
-		eopt.PolicyName = opt.Policy.Name()
-		if opt.Supervisor != nil {
-			sup := *opt.Supervisor
-			if sup.Predictor.Plan.NumModes() == 0 {
-				sup.Predictor = pred
-			}
-			eopt.Supervisor = &sup
-		}
+	err := engine.Wire(&eopt, engine.Management{
+		Cores:      n,
+		Policy:     opt.Policy,
+		Predictor:  pred,
+		Guard:      opt.Guard,
+		History:    opt.History,
+		Supervisor: opt.Supervisor,
+		Fault:      opt.Fault,
+		Replay:     obs.AsRecording(opt.Replay),
+	})
+	if err != nil {
+		return nil, err
 	}
+	ch.SetVector(modes.Uniform(n, modes.Turbo))
 	return engine.Run(newSubstrate(ch), eopt)
-}
-
-// RunManaged runs the chip under a global power manager for `intervals`
-// explore intervals at a constant budget — a thin adapter over Managed for
-// the common unfaulted case. The Result's ChipPowerW series is at delta-sim
-// resolution; use Result.ExploreChipPowerW(cfg.DeltaPerExplore()) for
-// per-explore-interval averages.
-func (ch *Chip) RunManaged(policy core.Policy, budgetW float64, intervals int) (*engine.Result, error) {
-	return ch.Managed(ManagedOptions{Policy: policy, BudgetW: budgetW, Intervals: intervals})
 }

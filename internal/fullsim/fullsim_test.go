@@ -107,7 +107,7 @@ func TestRunManagedMeetsBudget(t *testing.T) {
 		full += ch.CorePowerW(i, a)
 	}
 	budget := 0.8 * full
-	res, err := ch.RunManaged(core.MaxBIPS{}, budget, 12)
+	res, err := ch.Managed(ManagedOptions{Policy: core.MaxBIPS{}, BudgetW: budget, Intervals: 12})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"gpm/internal/config"
 	"gpm/internal/core"
 	"gpm/internal/engine"
+	"gpm/internal/fault"
 	"gpm/internal/modes"
 	"gpm/internal/obs"
 	"gpm/internal/power"
@@ -43,6 +45,9 @@ func TestManagedOptionsValidation(t *testing.T) {
 			o.Supervisor = &engine.SupervisorConfig{}
 			o.Replay = &obs.Trace{Records: []obs.Record{{Vector: []int{0, 0}, BudgetW: 40}}}
 		}, "Supervisor"},
+		{"negative supervisor deadline", func(o *ManagedOptions) {
+			o.Supervisor = &engine.SupervisorConfig{Deadline: -time.Microsecond}
+		}, "Supervisor.Deadline"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -87,5 +92,37 @@ func TestManagedSupervisedCleanPathIdentical(t *testing.T) {
 	}
 	if supd.Obs.SupervisorRungs[0] != supd.Obs.Decisions {
 		t.Fatalf("clean run left rung 0: %+v", supd.Obs)
+	}
+}
+
+// TestManagedReplayManifestFault pins that a fullsim replay honours the trace
+// manifest as cmpsim's does: with Fault unset, the manifest's core-death
+// scenario applies, so the replay matches one given that scenario explicitly.
+func TestManagedReplayManifestFault(t *testing.T) {
+	const spec = "death=1:1ms"
+	sc, err := fault.ParseScenario(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(opt ManagedOptions) *engine.Result {
+		t.Helper()
+		ch := setup(t, []string{"mcf", "crafty"}, nil)
+		ch.Warm(5000)
+		opt.BudgetW, opt.Intervals = 40, 8
+		res, err := ch.Managed(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	col := obs.NewCollector(&obs.Manifest{Substrate: "fullsim", Policy: "maxbips", FaultSpec: spec, Guarded: true})
+	rec := run(ManagedOptions{Policy: core.MaxBIPS{}, Fault: &sc, Guard: &core.GuardConfig{}, Observer: col})
+	if len(rec.DeadCores) != 1 || rec.DeadCores[0] != 1 {
+		t.Fatalf("recording parked cores %v, want [1]", rec.DeadCores)
+	}
+	fromManifest := run(ManagedOptions{Replay: col.Trace()})
+	explicit := run(ManagedOptions{Replay: col.Trace(), Fault: &sc})
+	if a, b := obs.ResultFingerprint(fromManifest), obs.ResultFingerprint(explicit); a != b {
+		t.Fatalf("replay without Fault %#x != replay with the manifest's scenario %#x", a, b)
 	}
 }

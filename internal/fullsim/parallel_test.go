@@ -29,7 +29,7 @@ func managedFingerprint(t testing.TB, workers int) uint64 {
 	t.Helper()
 	ch := chipWithWorkers(t, []string{"ammp", "mcf", "crafty", "art"}, workers)
 	ch.Warm(2000)
-	res, err := ch.RunManaged(core.MaxBIPS{}, 50, 6)
+	res, err := ch.Managed(ManagedOptions{Policy: core.MaxBIPS{}, BudgetW: 50, Intervals: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

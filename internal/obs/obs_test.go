@@ -65,6 +65,17 @@ func testPlan(t testing.TB) modes.Plan {
 	return modes.Default(cfg.Chip.NominalVdd, cfg.Chip.TransitionRateVPerUs)
 }
 
+// newDecider is engine.NewDecider without a history table, for fixtures
+// whose guard settings are known valid.
+func newDecider(t testing.TB, plan modes.Plan, policy core.Policy, pred core.MatrixPredictor, n int, guard *core.GuardConfig) engine.Decider {
+	t.Helper()
+	d, err := engine.NewDecider(plan, policy, pred, n, guard, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // testOptions builds a guarded, fault-injected 4-core run — every record
 // field (true vs observed samples, stage overrides, guard state) gets
 // exercised.
@@ -78,7 +89,7 @@ func testOptions(t testing.TB, plan modes.Plan, budgetW float64) engine.Options 
 	return engine.Options{
 		Plan:             plan,
 		Budget:           func(time.Duration) float64 { return budgetW },
-		Decider:          engine.NewDecider(plan, core.MaxBIPS{}, pred, 4, &core.GuardConfig{}),
+		Decider:          newDecider(t, plan, core.MaxBIPS{}, pred, 4, &core.GuardConfig{}),
 		DeltaSim:         50 * time.Microsecond,
 		DeltasPerExplore: 10,
 		Horizon:          3 * time.Millisecond,
@@ -191,12 +202,13 @@ func TestReplayBitIdentical(t *testing.T) {
 	plan := testPlan(t)
 	sub := newFakeSub(plan, []float64{20, 18, 16, 14}, []float64{4e9, 3e9, 2e9, 1e9}, 500e-6)
 	opt := testOptions(t, plan, 45) // injector still present: core-death physics
-	dec, err := NewReplayDecider(col.Trace(), 500*time.Microsecond)
+	d, err := col.Trace().Decider(500 * time.Microsecond)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dec := d.(*ReplayDecider)
 	opt.Decider = dec
-	opt.Stages = []engine.Stage{NewReplayBudget(col.Trace())}
+	opt.Stages = []engine.Stage{col.Trace().BudgetStage()}
 	replayed, err := engine.Run(sub, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -367,7 +379,7 @@ func TestSolverNodeCounting(t *testing.T) {
 	opt := engine.Options{
 		Plan:             plan,
 		Budget:           func(time.Duration) float64 { return 45 },
-		Decider:          engine.NewDecider(plan, pol, pred, 4, nil),
+		Decider:          newDecider(t, plan, pol, pred, 4, nil),
 		DeltaSim:         50 * time.Microsecond,
 		DeltasPerExplore: 10,
 		Horizon:          2 * time.Millisecond,

@@ -24,10 +24,10 @@ type ReplayDecider struct {
 	explore time.Duration
 }
 
-// NewReplayDecider builds a replay decider over t. explore is the run's
-// explore interval, used to convert the footer's recovery latency back to
-// the guard's interval count (pass the same value the engine runs with).
-func NewReplayDecider(t *Trace, explore time.Duration) (*ReplayDecider, error) {
+// Decider implements engine.Recording with a *ReplayDecider over t. explore
+// is the run's explore interval, used to convert the footer's recovery
+// latency back to the guard's interval count.
+func (t *Trace) Decider(explore time.Duration) (engine.Decider, error) {
 	if len(t.Records) == 0 {
 		return nil, fmt.Errorf("obs: replay: trace has no decision records")
 	}
@@ -89,6 +89,27 @@ func (d *ReplayDecider) GuardStats() (core.ResilientStats, bool) {
 	return st, true
 }
 
+// AsRecording returns t as the engine.Recording that engine.Wire replays, or
+// a nil interface when t is nil: a nil *Trace stored in the interface would
+// compare non-nil and send a policy run down the replay path.
+func AsRecording(t *Trace) engine.Recording {
+	if t == nil {
+		return nil
+	}
+	return t
+}
+
+// BudgetStage implements engine.Recording with a ReplayBudget.
+func (t *Trace) BudgetStage() engine.Stage { return &ReplayBudget{trace: t} }
+
+// FaultSpec implements engine.Recording from the manifest.
+func (t *Trace) FaultSpec() string {
+	if t.Manifest == nil {
+		return ""
+	}
+	return t.Manifest.FaultSpec
+}
+
 // ReplayBudget is the replay counterpart of the whole budget middleware
 // chain: it sets each decision's budget to the recorded final value, so
 // fault spikes and thermal clamps replay exactly without re-running the
@@ -97,9 +118,6 @@ type ReplayBudget struct {
 	trace *Trace
 	i     int
 }
-
-// NewReplayBudget builds the replay budget stage over t.
-func NewReplayBudget(t *Trace) *ReplayBudget { return &ReplayBudget{trace: t} }
 
 // Name implements engine.Stage.
 func (b *ReplayBudget) Name() string { return "replay-budget" }
